@@ -38,6 +38,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSchedulerOps -fuzztime=5s ./internal/sim/
 	$(GO) test -fuzz=FuzzLookaheadWindow -fuzztime=5s ./internal/sim/
 	$(GO) test -fuzz=FuzzCheckpointManifest -fuzztime=5s ./internal/dsweep/
+	$(GO) test -fuzz=FuzzGridOps -fuzztime=5s ./internal/spatial/
 
 # cover enforces per-package coverage floors on the packages whose
 # correctness burden is a test suite rather than a golden run: the seed

@@ -20,9 +20,11 @@ import (
 // lives in the world's struct-of-arrays nodeStore (see store.go) and is
 // reached through the pos/battery/dead accessors.
 type node struct {
-	id        NodeID
-	world     *World
-	neighbors *hello.Table
+	id    NodeID
+	world *World
+	// neighbors is held by value so a beacon delivery reaches the table's
+	// entries without first loading a separately allocated header.
+	neighbors hello.Table
 	flows     *core.Table
 	// lastAdvert is the state this node last broadcast in a HELLO;
 	// triggered updates compare against it.

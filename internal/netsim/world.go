@@ -314,7 +314,7 @@ func NewWorld(cfg Config, positions []geom.Point, energies []float64) (*World, e
 		n := &node{
 			id:        i,
 			world:     w,
-			neighbors: hello.NewTable(cfg.NeighborTTL),
+			neighbors: *hello.NewTable(cfg.NeighborTTL),
 			flows:     core.NewTable(),
 		}
 		w.nodes = append(w.nodes, n)
@@ -348,12 +348,17 @@ func (w *World) retryEnabled() bool { return w.cfg.Faults.RetryEnabled() }
 // seedNeighborTables performs the initial HELLO exchange: every node
 // learns its in-range neighbors' position and energy at t=0. The spatial
 // index serves each node's neighborhood in O(k), so seeding a world costs
-// O(n·k) instead of the former O(n²) all-pairs scan.
+// O(n·k) instead of the former O(n²) all-pairs scan, and each table is
+// sized once to its neighbor count.
 func (w *World) seedNeighborTables() {
 	var buf []NodeID
 	for _, n := range w.nodes {
 		n.lastAdvert = n.beacon()
 		buf = w.index.AppendInRange(buf[:0], n.pos(), w.cfg.Radio.Range)
+		// buf holds the node itself too, which leaves the table one spare
+		// slot: it absorbs the first neighbor to drift into range, an
+		// arrival that would otherwise reallocate the whole table.
+		n.neighbors.Grow(len(buf))
 		for _, id := range buf {
 			if id == n.id {
 				continue

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -191,5 +192,51 @@ func TestBuildRejectsBadMode(t *testing.T) {
 func TestLoadFileMissing(t *testing.T) {
 	if _, err := LoadFile("/nonexistent/path.json"); err == nil {
 		t.Error("missing file should error")
+	}
+}
+
+// TestFarApartNodesBuildAndRun feeds the simulator an explicit-node
+// scenario whose nodes sit up to 1e300 m apart: validation does not bound
+// positions, so the neighbor index must keep its memory proportional to
+// the node count, not to the area the nodes span, and the world must
+// still build and deliver the one flow whose endpoints are in range.
+func TestFarApartNodesBuildAndRun(t *testing.T) {
+	const doc = `{
+  "name": "far-apart",
+  "nodes": [
+    {"x": 0, "y": 0, "joules": 100000},
+    {"x": 100, "y": 0, "joules": 100000},
+    {"x": 1e12, "y": 1e12, "joules": 100000},
+    {"x": -1e300, "y": 1e300, "joules": 100000},
+    {"x": 1e300, "y": -1e300, "joules": 100000}
+  ],
+  "flows": [
+    {"src": 0, "dst": 1, "length_kb": 10, "path": [0, 1]}
+  ]
+}`
+	s, err := Load(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	w, _, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := heap() - before; grew > 4<<20 {
+		t.Errorf("building a 5-node world grew the heap by %d bytes", grew)
+	}
+	res, err := w.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Outcome().Completed {
+		t.Error("in-range flow did not complete")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -86,21 +87,74 @@ func TestPropertyRandomTopologies(t *testing.T) {
 	}
 }
 
-// TestPropertyMutationSequence applies a long randomized sequence of
+// mutationRegime shapes one randomized mutation sequence: how many IDs
+// it cycles through, where fresh points land, and which radii queries use.
+type mutationRegime struct {
+	name  string
+	ids   int
+	steps int
+	point func(src *stats.Source) geom.Point
+	radii []float64
+}
+
+// TestPropertyMutationSequence applies long randomized sequences of
 // insert/move/remove operations to both indexes, interleaved with
 // queries. Moves are drawn small so they frequently cross cell edges
 // without leaving the neighborhood — the regime the simulator's
-// per-packet node movement produces.
+// per-packet node movement produces. The regimes push the dense table
+// off its comfortable path: negative coordinates, points far outside the
+// first extent, cells that alias onto one table slot, huge radii, and
+// enough IDs to force table resizes. Throughout, a fixed probe's
+// RegionStamp must never decrease, must strictly grow across a resize,
+// and an unchanged stamp must mean an unchanged answer.
 func TestPropertyMutationSequence(t *testing.T) {
-	src := stats.NewSource(11)
 	const cell = 100.0
-	g, b := newPair(t, cell)
+	uniform := func(lo, hi float64) func(*stats.Source) geom.Point {
+		return func(src *stats.Source) geom.Point {
+			return geom.Pt(src.Uniform(lo, hi), src.Uniform(lo, hi))
+		}
+	}
+	far := []float64{1e6, -1e6, 1e12, -1e12, 1e300, -1e300}
+	aliasSpan := minTableSide * cell // cells this far apart share a slot
+	regimes := []mutationRegime{
+		{name: "local", ids: 60, steps: 3000, point: uniform(-500, 500), radii: []float64{cell, cell / 4}},
+		{name: "negative", ids: 60, steps: 3000, point: uniform(-5000, -1000), radii: []float64{cell, 3 * cell}},
+		{name: "far", ids: 60, steps: 3000, radii: []float64{cell, 1e7, math.Inf(1)},
+			point: func(src *stats.Source) geom.Point {
+				if src.Intn(5) == 0 {
+					return geom.Pt(far[src.Intn(len(far))], far[src.Intn(len(far))])
+				}
+				return geom.Pt(src.Uniform(-500, 500), src.Uniform(-500, 500))
+			}},
+		{name: "aliasing", ids: 60, steps: 3000, radii: []float64{cell, cell / 2, 2 * cell},
+			point: func(src *stats.Source) geom.Point {
+				return geom.Pt(float64(src.Intn(7)-3)*aliasSpan+src.Uniform(0, 2*cell),
+					float64(src.Intn(7)-3)*aliasSpan+src.Uniform(0, 2*cell))
+			}},
+		{name: "huge-radii", ids: 60, steps: 3000, point: uniform(-2000, 2000),
+			radii: []float64{1e9, 1e200, math.MaxFloat64, math.Inf(1)}},
+		{name: "resize", ids: 1500, steps: 8000, point: uniform(-3000, 3000), radii: []float64{cell, 2.5 * cell}},
+	}
+	for i, rg := range regimes {
+		t.Run(rg.name, func(t *testing.T) { runMutationRegime(t, stats.NewSource(int64(11+i)), cell, rg) })
+	}
+}
+
+func runMutationRegime(t *testing.T, src *stats.Source, cell float64, rg mutationRegime) {
+	g, err := NewGrid(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBrute()
 	pos := make(map[int]geom.Point)
-	for step := 0; step < 3000; step++ {
-		id := src.Intn(60)
+	probe := rg.point(src)
+	lastStamp, lastIDs, side := g.RegionStamp(probe, cell), g.InRange(probe, cell), g.side
+	resizes := 0
+	for step := 0; step < rg.steps; step++ {
+		id := src.Intn(rg.ids)
 		switch src.Intn(4) {
 		case 0: // insert (or relocate) somewhere fresh
-			p := geom.Pt(src.Uniform(-500, 500), src.Uniform(-500, 500))
+			p := rg.point(src)
 			g.Insert(id, p)
 			b.Insert(id, p)
 			pos[id] = p
@@ -113,24 +167,91 @@ func TestPropertyMutationSequence(t *testing.T) {
 			g.Move(id, p)
 			b.Move(id, p)
 			pos[id] = p
-		case 2: // remove
+		case 2: // remove, rarely, so the resize regime fills up
+			if rg.ids > 100 && src.Intn(8) != 0 {
+				continue
+			}
 			g.Remove(id)
 			b.Remove(id)
 			delete(pos, id)
 		default: // query around a random live point
-			if len(pos) == 0 {
+			if len(b.ids) == 0 {
 				continue
 			}
-			for _, p := range pos {
-				queryBoth(t, g, b, p, cell)
-				queryBoth(t, g, b, p, cell/4)
-				break
+			p := pos[b.ids[src.Intn(len(b.ids))]]
+			for _, r := range rg.radii {
+				queryBoth(t, g, b, p, r)
 			}
 		}
 		if g.Len() != b.Len() || g.Len() != len(pos) {
 			t.Fatalf("step %d: Len grid %d, brute %d, want %d", step, g.Len(), b.Len(), len(pos))
 		}
+		stamp, ids := g.RegionStamp(probe, cell), queryBoth(t, g, b, probe, cell)
+		switch {
+		case stamp < lastStamp:
+			t.Fatalf("step %d: stamp went backwards: %d -> %d", step, lastStamp, stamp)
+		case g.side != side && stamp <= lastStamp:
+			t.Fatalf("step %d: resize %d -> %d did not advance the stamp (%d)", step, side, g.side, stamp)
+		case stamp == lastStamp && !reflect.DeepEqual(ids, lastIDs):
+			t.Fatalf("step %d: stamp unchanged but result changed: %v -> %v", step, lastIDs, ids)
+		}
+		if g.side != side {
+			resizes++
+		}
+		lastStamp, lastIDs, side = stamp, ids, g.side
 	}
+	if rg.name == "resize" && resizes == 0 {
+		t.Fatal("resize regime never resized the table")
+	}
+}
+
+// TestGridMemoryBound guards the dense table against hostile coordinates:
+// points scattered over the whole float range must cost memory in
+// proportion to their number, never to the area they span, and queries
+// over them must stay exact and bounded.
+func TestGridMemoryBound(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	g, err := NewGrid(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBrute()
+	for i, p := range []geom.Point{{X: 0, Y: 0}, {X: 1e12, Y: 1e12}, {X: -1e300, Y: 1e300}} {
+		g.Insert(i, p)
+		b.Insert(i, p)
+	}
+	for _, r := range []float64{0, 200, 2e12, math.MaxFloat64, math.Inf(1)} {
+		queryBoth(t, g, b, geom.Pt(0, 0), r)
+		queryBoth(t, g, b, geom.Pt(1e12, 1e12), r)
+	}
+	if grew := heap() - before; grew > 64<<10 {
+		t.Errorf("3 far-apart points grew the heap by %d bytes", grew)
+	}
+	runtime.KeepAlive(g)
+
+	// n points spread geometrically from 1 m to 1e300 m in every
+	// direction: heap growth stays within a constant per point.
+	const n = 4096
+	before = heap()
+	g, _ = NewGrid(200)
+	for i := 0; i < n; i++ {
+		mag := math.Pow(10, float64(i%300))
+		sx, sy := float64(1-2*(i&1)), float64(1-(i&2))
+		g.Insert(i, geom.Pt(sx*mag, sy*mag*1.5))
+	}
+	if got := g.InRange(geom.Pt(0, 0), math.Inf(1)); len(got) != n {
+		t.Fatalf("infinite-radius query found %d of %d points", len(got), n)
+	}
+	if grew, limit := heap()-before, int64(512*n+64<<10); grew > limit {
+		t.Errorf("%d far-flung points grew the heap by %d bytes, limit %d", n, grew, limit)
+	}
+	runtime.KeepAlive(g)
 }
 
 // TestBoundaryInclusion pins the contract's edge cases: a point at
