@@ -34,108 +34,98 @@ type Entry struct {
 }
 
 // Table is a node's neighbor table. The zero value is an empty table
-// whose entries never expire; NewTable sets an expiry.
+// whose entries never expire; NewTables sets an expiry.
 //
-// Entries live in one slice kept in ascending ID order: a node hears a
-// few dozen neighbors at most, so a binary search over a contiguous slice
-// beats hashing, and IDs and Snapshot come out sorted for free.
+// Neighbor IDs live in their own ascending int32 column, apart from the
+// 32-byte rows of advertised state: a node hears a few dozen neighbors at
+// most, so the binary search of a beacon reception reads a cache line or
+// two of IDs and the refresh writes one row. IDs must fit in an int32.
 type Table struct {
-	ttl     sim.Time
-	entries []Entry
+	ttl  sim.Time
+	ids  []int32
+	rows []row
 }
 
-// NewTable creates a neighbor table whose entries expire ttl seconds after
-// their last refresh. A non-positive ttl disables expiry.
-func NewTable(ttl sim.Time) *Table {
-	return &Table{ttl: ttl}
+// row is the per-neighbor state of a Table, parallel to its ID column.
+type row struct {
+	pos      geom.Point
+	residual float64
+	lastSeen sim.Time
 }
 
-// Grow ensures room for n more entries without reallocating, like
-// slices.Grow. A world seeding tables from a range query knows each
-// node's neighbor count up front and sizes the table once.
-func (t *Table) Grow(n int) {
-	t.entries = slices.Grow(t.entries, n)
+// NewTables returns len(ends) tables whose entries expire ttl seconds
+// after their last refresh (a non-positive ttl disables expiry), with
+// storage carved from one arena. Table i has room for spare entries more
+// than its run ends[i]-ends[i-1] (ends[0] for table 0), the layout of a
+// flat buffer of per-node range query results. A table that outgrows its
+// room moves to storage of its own; it never writes into its neighbor's.
+func NewTables(ttl sim.Time, ends []int, spare int) []Table {
+	tables := make([]Table, len(ends))
+	if len(ends) == 0 {
+		return tables
+	}
+	total := ends[len(ends)-1] + spare*len(ends)
+	ids := make([]int32, total)
+	rows := make([]row, total)
+	prev, lo := 0, 0
+	for i, end := range ends {
+		hi := lo + end - prev + spare
+		tables[i] = Table{ttl: ttl, ids: ids[lo:lo:hi], rows: rows[lo:lo:hi]}
+		prev, lo = end, hi
+	}
+	return tables
 }
 
-// search returns the position of id in the entries, or where it would be
-// inserted, and whether it is present. It is spelled out because every
+// search returns the position of id in the ID column, or where it would
+// be inserted, and whether it is present. It is spelled out because every
 // beacon reception lands here, and slices.BinarySearchFunc's comparator
 // calls make it about 4× slower (BenchmarkTableUpdate).
-func (t *Table) search(id NodeID) (int, bool) {
-	lo, hi := 0, len(t.entries)
+func (t *Table) search(id int32) (int, bool) {
+	ids := t.ids
+	lo, hi := 0, len(ids)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if t.entries[mid].ID < id {
+		if ids[mid] < id {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(t.entries) && t.entries[lo].ID == id
+	return lo, lo < len(ids) && ids[lo] == id
 }
 
-// Update records a received beacon at the given time.
+// Update records a received beacon at the given time. It panics if the
+// beacon's ID does not fit in an int32.
 func (t *Table) Update(b Beacon, now sim.Time) {
-	e := Entry{Beacon: b, LastSeen: now}
-	i, ok := t.search(b.ID)
+	id := int32(b.ID)
+	if int(id) != b.ID {
+		panic(fmt.Sprintf("hello: neighbor id %d out of int32 range", b.ID))
+	}
+	r := row{pos: b.Position, residual: b.Residual, lastSeen: now}
+	i, ok := t.search(id)
 	if ok {
-		t.entries[i] = e
+		t.rows[i] = r
 		return
 	}
-	t.entries = slices.Insert(t.entries, i, e)
+	t.ids = slices.Insert(t.ids, i, id)
+	t.rows = slices.Insert(t.rows, i, r)
 }
 
 // Get returns the freshest entry for the given neighbor, if present and
 // not expired as of now.
 func (t *Table) Get(id NodeID, now sim.Time) (Entry, bool) {
-	i, ok := t.search(id)
-	if !ok || t.expired(t.entries[i], now) {
+	if int(int32(id)) != id {
 		return Entry{}, false
 	}
-	return t.entries[i], true
-}
-
-// Remove deletes a neighbor entry (e.g. on an explicit failure signal).
-func (t *Table) Remove(id NodeID) {
-	if i, ok := t.search(id); ok {
-		t.entries = slices.Delete(t.entries, i, i+1)
+	i, ok := t.search(int32(id))
+	if !ok {
+		return Entry{}, false
 	}
-}
-
-// Len returns the number of live entries as of now, purging expired ones.
-func (t *Table) Len(now sim.Time) int {
-	t.purge(now)
-	return len(t.entries)
-}
-
-// IDs returns the live neighbor IDs in ascending order as of now.
-func (t *Table) IDs(now sim.Time) []NodeID {
-	t.purge(now)
-	ids := make([]NodeID, len(t.entries))
-	for i, e := range t.entries {
-		ids[i] = e.ID
+	r := t.rows[i]
+	if t.ttl > 0 && now-r.lastSeen > t.ttl {
+		return Entry{}, false
 	}
-	return ids
-}
-
-// Snapshot returns the live entries in ascending ID order as of now.
-func (t *Table) Snapshot(now sim.Time) []Entry {
-	t.purge(now)
-	out := make([]Entry, len(t.entries))
-	copy(out, t.entries)
-	return out
-}
-
-func (t *Table) expired(e Entry, now sim.Time) bool {
-	return t.ttl > 0 && now-e.LastSeen > t.ttl
-}
-
-// purge drops expired entries, compacting the slice in place.
-func (t *Table) purge(now sim.Time) {
-	if t.ttl <= 0 {
-		return
-	}
-	t.entries = slices.DeleteFunc(t.entries, func(e Entry) bool { return t.expired(e, now) })
+	return Entry{Beacon: Beacon{ID: id, Position: r.pos, Residual: r.residual}, LastSeen: r.lastSeen}, true
 }
 
 // SendFunc broadcasts the node's current beacon. It is supplied by the

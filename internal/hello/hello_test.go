@@ -2,9 +2,9 @@ package hello
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -12,7 +12,7 @@ import (
 )
 
 func TestTableUpdateGet(t *testing.T) {
-	tab := NewTable(10)
+	tab := &Table{ttl: 10}
 	b := Beacon{ID: 3, Position: geom.Pt(5, 5), Residual: 42}
 	tab.Update(b, 100)
 	e, ok := tab.Get(3, 105)
@@ -28,7 +28,7 @@ func TestTableUpdateGet(t *testing.T) {
 }
 
 func TestTableRefreshReplaces(t *testing.T) {
-	tab := NewTable(10)
+	tab := &Table{ttl: 10}
 	tab.Update(Beacon{ID: 1, Position: geom.Pt(0, 0), Residual: 50}, 0)
 	tab.Update(Beacon{ID: 1, Position: geom.Pt(9, 9), Residual: 40}, 5)
 	e, ok := tab.Get(1, 6)
@@ -41,7 +41,7 @@ func TestTableRefreshReplaces(t *testing.T) {
 }
 
 func TestTableExpiry(t *testing.T) {
-	tab := NewTable(10)
+	tab := &Table{ttl: 10}
 	tab.Update(Beacon{ID: 1}, 0)
 	if _, ok := tab.Get(1, 10); !ok {
 		t.Error("entry at exactly ttl should survive")
@@ -52,77 +52,36 @@ func TestTableExpiry(t *testing.T) {
 }
 
 func TestTableNoExpiryWhenDisabled(t *testing.T) {
-	tab := NewTable(0)
+	tab := &Table{ttl: 0}
 	tab.Update(Beacon{ID: 1}, 0)
 	if _, ok := tab.Get(1, 1e12); !ok {
 		t.Error("ttl 0 should disable expiry")
 	}
 }
 
-func TestTableIDsSortedAndPurged(t *testing.T) {
-	tab := NewTable(10)
-	tab.Update(Beacon{ID: 5}, 0)
-	tab.Update(Beacon{ID: 2}, 8)
-	tab.Update(Beacon{ID: 9}, 8)
-	ids := tab.IDs(15) // entry 5 (seen at 0) has expired
-	if len(ids) != 2 || ids[0] != 2 || ids[1] != 9 {
-		t.Errorf("IDs = %v, want [2 9]", ids)
-	}
-	if tab.Len(15) != 2 {
-		t.Errorf("Len = %d, want 2", tab.Len(15))
-	}
-}
-
-func TestTableSnapshot(t *testing.T) {
-	tab := NewTable(0)
-	tab.Update(Beacon{ID: 2, Residual: 20}, 0)
-	tab.Update(Beacon{ID: 1, Residual: 10}, 0)
-	snap := tab.Snapshot(1)
-	if len(snap) != 2 || snap[0].ID != 1 || snap[1].ID != 2 {
-		t.Errorf("Snapshot = %+v", snap)
-	}
-}
-
-func TestTableRemove(t *testing.T) {
-	tab := NewTable(0)
-	tab.Update(Beacon{ID: 1}, 0)
-	tab.Remove(1)
-	if _, ok := tab.Get(1, 0); ok {
-		t.Error("removed entry still present")
-	}
-}
-
-// tableModel is the reference neighbor table: a map, purged and sorted
-// on read, with the same TTL rule as Table.
+// tableModel is the reference neighbor table: a map with the same TTL
+// rule as Table.
 type tableModel struct {
 	ttl     sim.Time
 	entries map[NodeID]Entry
 }
 
-func (m *tableModel) live(e Entry, now sim.Time) bool {
-	return m.ttl <= 0 || now-e.LastSeen <= m.ttl
-}
-
-func (m *tableModel) snapshot(now sim.Time) []Entry {
-	out := []Entry{}
-	for id, e := range m.entries {
-		if !m.live(e, now) {
-			delete(m.entries, id)
-			continue
-		}
-		out = append(out, e)
+func (m *tableModel) get(id NodeID, now sim.Time) (Entry, bool) {
+	e, ok := m.entries[id]
+	if !ok || (m.ttl > 0 && now-e.LastSeen > m.ttl) {
+		return Entry{}, false
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return e, true
 }
 
 // TestTableMatchesMapModel drives Table and the map reference through
-// the same random Update/Get/Remove/Len/IDs/Snapshot sequence, with
-// expiry on and off, and requires identical answers at every step.
+// the same random Update/Get sequence, with expiry on and off, and
+// requires identical answers at every step — expired entries included —
+// and a strictly ascending ID column parallel to the rows.
 func TestTableMatchesMapModel(t *testing.T) {
 	for _, ttl := range []sim.Time{0, 3} {
 		rng := rand.New(rand.NewSource(int64(ttl) + 1))
-		tab := NewTable(ttl)
+		tab := &Table{ttl: ttl}
 		model := &tableModel{ttl: ttl, entries: map[NodeID]Entry{}}
 		var now sim.Time
 		for step := 0; step < 20000; step++ {
@@ -130,53 +89,53 @@ func TestTableMatchesMapModel(t *testing.T) {
 				now += sim.Time(rng.Intn(3))
 			}
 			id := rng.Intn(48)
-			switch op := rng.Intn(10); {
-			case op < 4:
+			if rng.Intn(2) == 0 {
 				b := Beacon{ID: id, Position: geom.Pt(rng.Float64(), rng.Float64()), Residual: rng.Float64()}
 				tab.Update(b, now)
 				model.entries[id] = Entry{Beacon: b, LastSeen: now}
-			case op < 6:
-				got, gotOK := tab.Get(id, now)
-				want, wantOK := model.entries[id]
-				if wantOK && !model.live(want, now) {
-					want, wantOK = Entry{}, false
-				}
-				if got != want || gotOK != wantOK {
-					t.Fatalf("ttl %v step %d: Get(%d) = %+v, %v; want %+v, %v", ttl, step, id, got, gotOK, want, wantOK)
-				}
-			case op < 7:
-				tab.Remove(id)
-				delete(model.entries, id)
-			case op < 8:
-				if got, want := tab.Len(now), len(model.snapshot(now)); got != want {
-					t.Fatalf("ttl %v step %d: Len = %d, want %d", ttl, step, got, want)
-				}
-			case op < 9:
-				want := []NodeID{}
-				for _, e := range model.snapshot(now) {
-					want = append(want, e.ID)
-				}
-				if got := tab.IDs(now); !reflect.DeepEqual(got, want) {
-					t.Fatalf("ttl %v step %d: IDs = %v, want %v", ttl, step, got, want)
-				}
-			default:
-				if got, want := tab.Snapshot(now), model.snapshot(now); !reflect.DeepEqual(got, want) {
-					t.Fatalf("ttl %v step %d: Snapshot = %+v, want %+v", ttl, step, got, want)
-				}
+				continue
+			}
+			got, gotOK := tab.Get(id, now)
+			want, wantOK := model.get(id, now)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("ttl %v step %d: Get(%d) = %+v, %v; want %+v, %v", ttl, step, id, got, gotOK, want, wantOK)
+			}
+		}
+		if len(tab.ids) != len(model.entries) || len(tab.rows) != len(tab.ids) {
+			t.Fatalf("ttl %v: %d ids, %d rows, %d model entries", ttl, len(tab.ids), len(tab.rows), len(model.entries))
+		}
+		for i := 1; i < len(tab.ids); i++ {
+			if tab.ids[i-1] >= tab.ids[i] {
+				t.Fatalf("ttl %v: ID column not strictly ascending: %v", ttl, tab.ids)
 			}
 		}
 	}
 }
 
-// TestTableGrowPresizes pins the seeding contract: after Grow(n), n
-// updates of new neighbors, in any order, allocate nothing.
+func TestTableRejectsWideIDs(t *testing.T) {
+	tab := &Table{ttl: 0}
+	if _, ok := tab.Get(math.MaxInt32+1, 0); ok {
+		t.Error("Get of an id past int32 found an entry")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Update with an id past int32 did not panic")
+		}
+	}()
+	tab.Update(Beacon{ID: math.MaxInt32 + 1}, 0)
+}
+
+// TestTableGrowPresizes pins the seeding contract: a table carved by
+// NewTables with room for n entries takes n updates of new neighbors, in
+// any order, without allocating.
 func TestTableGrowPresizes(t *testing.T) {
 	ids := []NodeID{7, 3, 11, 0, 5, 9, 1, 12}
 	const runs = 50
-	tables := make([]Table, runs+1) // AllocsPerRun adds a warm-up run
-	for i := range tables {
-		tables[i].Grow(len(ids))
+	ends := make([]int, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range ends {
+		ends[i] = (i + 1) * (len(ids) - 1)
 	}
+	tables := NewTables(0, ends, 1)
 	next := 0
 	allocs := testing.AllocsPerRun(runs, func() {
 		tab := &tables[next]
@@ -188,8 +147,34 @@ func TestTableGrowPresizes(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("presized table allocated %.1f times per fill, want 0", allocs)
 	}
-	if got := tables[0].IDs(0); !reflect.DeepEqual(got, []NodeID{0, 1, 3, 5, 7, 9, 11, 12}) {
-		t.Errorf("IDs = %v", got)
+	if got := tables[0].ids; !reflect.DeepEqual(got, []int32{0, 1, 3, 5, 7, 9, 11, 12}) {
+		t.Errorf("ids = %v", got)
+	}
+}
+
+// TestNewTablesOverflowStaysLocal pushes one carved table past its room
+// and checks that its arena neighbors keep their entries: growth
+// reallocates the full table alone.
+func TestNewTablesOverflowStaysLocal(t *testing.T) {
+	tables := NewTables(0, []int{1, 2, 3}, 1)
+	for i := range tables {
+		for _, id := range []NodeID{10 * i, 10*i + 1} {
+			tables[i].Update(Beacon{ID: id, Residual: float64(id)}, 0)
+		}
+	}
+	// Table 1 is full; two arrivals, one sorting first, one last.
+	tables[1].Update(Beacon{ID: 0, Residual: -1}, 1)
+	tables[1].Update(Beacon{ID: 99, Residual: -1}, 1)
+	for i := range tables {
+		for _, id := range []NodeID{10 * i, 10*i + 1} {
+			e, ok := tables[i].Get(id, 1)
+			if !ok || e.Residual != float64(id) || e.LastSeen != 0 {
+				t.Errorf("table %d entry %d = %+v, %v after table 1 overflowed", i, id, e, ok)
+			}
+		}
+	}
+	if got := tables[1].ids; !reflect.DeepEqual(got, []int32{0, 10, 11, 99}) {
+		t.Errorf("overflowed table ids = %v", got)
 	}
 }
 
@@ -331,7 +316,7 @@ func TestNewBeaconerValidation(t *testing.T) {
 // benchTable returns a table holding n neighbors with IDs 0, 3, 6, ...,
 // the spacing of a typical neighborhood drawn from a larger world.
 func benchTable(n int) *Table {
-	tab := NewTable(10)
+	tab := &Table{ttl: 10}
 	for i := 0; i < n; i++ {
 		tab.Update(Beacon{ID: 3 * i}, 0)
 	}
@@ -345,6 +330,38 @@ func BenchmarkTableUpdate(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tab.Update(Beacon{ID: 3 * (i & 15), Residual: float64(i)}, sim.Time(i))
+	}
+}
+
+// BenchmarkTablesScattered refreshes neighbors across the tables of a
+// 100k-node world, 16 neighbors each in one arena, with receivers drawn
+// in random order, so every update pays the cache misses of a broadcast
+// fan-out in a big world.
+func BenchmarkTablesScattered(b *testing.B) {
+	const nodes, degree = 100000, 16
+	ends := make([]int, nodes)
+	for i := range ends {
+		ends[i] = (i + 1) * degree
+	}
+	tables := NewTables(10, ends, 1)
+	for i := range tables {
+		for k := 1; k <= degree; k++ {
+			tables[i].Update(Beacon{ID: (i + 7*k) % nodes}, 0)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	const ops = 1 << 16
+	recv := make([]int, ops)
+	from := make([]NodeID, ops)
+	for j := range recv {
+		recv[j] = rng.Intn(nodes)
+		from[j] = (recv[j] + 7*(1+rng.Intn(degree))) % nodes
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i & (ops - 1)
+		tables[recv[j]].Update(Beacon{ID: from[j], Residual: float64(i)}, sim.Time(i))
 	}
 }
 

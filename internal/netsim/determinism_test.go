@@ -263,7 +263,7 @@ func TestDeterminismStaleNeighborBudget(t *testing.T) {
 		// Node 0's view of node 1 must match a recently advertised
 		// position: within (budget + HelloInterval) of current truth at
 		// the configured speeds.
-		entry, ok := w.nodes[0].neighbors.Get(1, w.sched.Now())
+		entry, ok := w.tables[0].Get(1, w.sched.Now())
 		if !ok {
 			t.Fatal("node 0 lost its HELLO entry for node 1")
 		}

@@ -181,7 +181,7 @@ func TestStrayAckCounted(t *testing.T) {
 	if _, err := w.AddFlow(FlowSpec{Src: 0, Dst: 2, LengthBits: 8192}); err != nil {
 		t.Fatal(err)
 	}
-	w.nodes[0].Receive(1, ackPacket{flow: 1, seq: 99})
+	w.Receive(0, 1, ackPacket{flow: 1, seq: 99})
 	if w.transport.DupAcks != 1 {
 		t.Errorf("dup acks = %d, want 1", w.transport.DupAcks)
 	}

@@ -14,18 +14,16 @@ import (
 	"repro/internal/trace"
 )
 
-// node carries one node's protocol state: HELLO neighbor table, flow
-// table, last advertised beacon, AODV instance, and retry-transport maps.
-// The dense per-node state — position, battery, alive flag, grid cell —
-// lives in the world's struct-of-arrays nodeStore (see store.go) and is
-// reached through the pos/battery/dead accessors.
+// node carries one node's protocol state: flow table, last advertised
+// beacon, AODV instance, and retry-transport maps. The dense per-node
+// state — position, battery, alive flag, grid cell — lives in the world's
+// struct-of-arrays nodeStore (see store.go) and is reached through the
+// pos/battery/dead accessors; the HELLO neighbor table lives in the
+// world's tables arena, indexed by node ID.
 type node struct {
 	id    NodeID
 	world *World
-	// neighbors is held by value so a beacon delivery reaches the table's
-	// entries without first loading a separately allocated header.
-	neighbors hello.Table
-	flows     *core.Table
+	flows *core.Table
 	// lastAdvert is the state this node last broadcast in a HELLO;
 	// triggered updates compare against it.
 	lastAdvert hello.Beacon
@@ -71,14 +69,6 @@ func retryFn(arg any) {
 	pt := arg.(*pendingTx)
 	pt.owner.onRetryTimeout(pt.key)
 }
-
-var _ radio.Endpoint = (*node)(nil)
-
-// Position implements radio.Endpoint.
-func (n *node) Position() geom.Point { return n.pos() }
-
-// Battery implements radio.Endpoint.
-func (n *node) Battery() *energy.Battery { return n.battery() }
 
 func (n *node) beacon() hello.Beacon {
 	return hello.Beacon{ID: n.id, Position: n.pos(), Residual: n.battery().Residual()}
@@ -129,24 +119,32 @@ func (n *node) maybeBeacon() {
 	}
 }
 
-// Receive implements radio.Endpoint: dispatch on message type.
-func (n *node) Receive(from NodeID, msg any) {
-	if n.dead() {
+var _ radio.Network = (*World)(nil)
+
+// Receive implements radio.Network. A dead receiver swallows the message;
+// a HELLO beacon refreshes the receiver's neighbor table straight in the
+// world's arena, and any other message goes to the node's protocol
+// handlers.
+func (w *World) Receive(to, from NodeID, msg any) {
+	if w.store.dead[to] {
 		// A dead relay silently swallows traffic. Without the retry
 		// transport, in-flight accounting must still see the packet end;
 		// with it, the sender's retry timer owns the packet's fate (it will
 		// retransmit, then exhaust into a drop or a route repair), so
 		// accounting the loss here would double-count it.
-		if pkt, ok := msg.(*dataPacket); ok && !n.world.retryEnabled() {
-			if fr := n.world.flow(pkt.hdr.Flow); fr != nil {
-				n.world.drop(fr)
+		if pkt, ok := msg.(*dataPacket); ok && !w.retryEnabled() {
+			if fr := w.flow(pkt.hdr.Flow); fr != nil {
+				w.drop(fr)
 			}
 		}
 		return
 	}
+	if b, ok := msg.(*hello.Beacon); ok {
+		w.tables[to].Update(*b, w.sched.Now())
+		return
+	}
+	n := w.nodes[to]
 	switch m := msg.(type) {
-	case *hello.Beacon:
-		n.neighbors.Update(*m, n.world.sched.Now())
 	case *dataPacket:
 		n.onData(from, m)
 	case ackPacket:
@@ -409,11 +407,12 @@ func (n *node) onNotification(from NodeID, note core.Notification) {
 func (n *node) flowView(entry *core.FlowEntry, hdr *core.Header) (mobility.View, bool) {
 	w := n.world
 	now := w.sched.Now()
-	prev, ok := n.neighbors.Get(entry.Prev, now)
+	nb := &w.tables[n.id]
+	prev, ok := nb.Get(entry.Prev, now)
 	if !ok {
 		return mobility.View{}, false
 	}
-	next, ok := n.neighbors.Get(entry.Next, now)
+	next, ok := nb.Get(entry.Next, now)
 	if !ok {
 		return mobility.View{}, false
 	}
@@ -476,13 +475,14 @@ func (n *node) linksSurvive(candidate geom.Point) bool {
 	now := w.sched.Now()
 	const margin = 0.98
 	limit := w.cfg.Radio.Range * margin
+	nb := &w.tables[n.id]
 	w.entryScratch = n.flows.AppendEntries(w.entryScratch[:0])
 	for _, e := range w.entryScratch {
 		for _, peer := range [2]NodeID{e.Prev, e.Next} {
 			if peer < 0 {
 				continue
 			}
-			entry, ok := n.neighbors.Get(peer, now)
+			entry, ok := nb.Get(peer, now)
 			if !ok {
 				continue
 			}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
+	"repro/internal/geom"
 	"repro/internal/motion"
 	"repro/internal/spatial"
 	"repro/internal/stats"
@@ -99,7 +101,8 @@ func buildScaleWorld(tb testing.TB, nodes, flows int, parallel bool, shards int)
 
 // BenchmarkWorld100k measures full-world runs across node-count rungs and
 // both schedulers. Setup (placement, seeding, flow planning) is untimed;
-// the measured region is the event-loop run itself.
+// the measured region is the event-loop run itself, also reported per
+// radio delivery (ns/delivery).
 func BenchmarkWorld100k(b *testing.B) {
 	rungs := []struct {
 		name         string
@@ -120,18 +123,27 @@ func BenchmarkWorld100k(b *testing.B) {
 	for _, r := range rungs {
 		for _, m := range modes {
 			b.Run(fmt.Sprintf("%s-%s", r.name, m.name), func(b *testing.B) {
+				var run time.Duration
+				var delivered uint64
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					w := buildScaleWorld(b, r.nodes, r.flows, m.parallel, m.shards)
 					b.StartTimer()
+					start := time.Now()
 					res, err := w.Run()
+					run += time.Since(start)
 					if err != nil {
 						b.Fatal(err)
 					}
 					if len(res.Flows) == 0 {
 						b.Fatal("no flow outcomes")
 					}
+					delivered += res.Medium.Delivered
 				}
+				// Per-layer cost over a deterministic denominator: the
+				// medium's delivery count is fixed by the scenario, so
+				// ns/delivery moves only with the cost of a delivery.
+				b.ReportMetric(float64(run.Nanoseconds())/float64(delivered), "ns/delivery")
 			})
 		}
 	}
@@ -163,5 +175,56 @@ func TestScaleWorldSmoke(t *testing.T) {
 	}
 	if completed < len(serial.Flows)/2 {
 		t.Errorf("only %d/%d flows completed in scale scenario", completed, len(serial.Flows))
+	}
+}
+
+// TestGraphBeforeRunIsSnapshot pins World.Graph as a snapshot: a graph
+// taken before Run keeps answering for the t=0 placement after ambient
+// drift has moved the nodes — Pos, Connected and Neighbors all agree —
+// while a graph taken after Run sees the moved positions.
+func TestGraphBeforeRunIsSnapshot(t *testing.T) {
+	w := buildScaleWorld(t, 2000, 20, false, 0)
+	g, err := w.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := w.Graph(); again != g {
+		t.Error("Graph before Run rebuilt instead of serving the cached t=0 graph")
+	}
+	placed := append([]geom.Point(nil), w.store.pos...)
+	if _, err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	moved, disagree := 0, 0
+	var nbs []NodeID
+	for i := range placed {
+		if w.store.pos[i] != placed[i] {
+			moved++
+		}
+		if g.Pos(i) != placed[i] {
+			t.Fatalf("pre-Run graph reports node %d at %v, placed at %v", i, g.Pos(i), placed[i])
+		}
+		nbs = g.AppendNeighbors(nbs[:0], i)
+		for _, j := range nbs {
+			if !g.Connected(i, j) {
+				disagree++
+				break
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no node moved; the scenario no longer exercises drift")
+	}
+	if disagree > 0 {
+		t.Errorf("%d of %d nodes: Neighbors and Connected disagree on the pre-Run graph", disagree, len(placed))
+	}
+	after, err := w.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range placed {
+		if after.Pos(i) != w.store.pos[i] {
+			t.Fatalf("post-Run graph reports node %d at %v, now at %v", i, after.Pos(i), w.store.pos[i])
+		}
 	}
 }

@@ -14,11 +14,11 @@ import (
 // snapshots, beacon rounds, the parallel shard workers) stream through
 // contiguous memory instead of chasing *node pointers. The per-node
 // protocol state that only matters when a node is actively involved in
-// traffic (HELLO table, flow table, AODV instance, retry maps) stays on
-// the node struct.
+// traffic (flow table, AODV instance, retry maps) stays on the node
+// struct.
 //
 // batteries is a value slice sized once at NewWorld and never resized,
-// so &batteries[i] is stable and can back radio.Endpoint.Battery.
+// so &batteries[i] is stable and can back radio.Network.Battery.
 type nodeStore struct {
 	pos       []geom.Point
 	batteries []energy.Battery
@@ -53,7 +53,23 @@ func newNodeStore(positions []geom.Point, energies []float64, cellSize float64) 
 // cellCoords returns p's grid cell under the given cell size, using the
 // same floor convention as spatial.Grid.
 func cellCoords(p geom.Point, cell float64) (int32, int32) {
-	return int32(math.Floor(p.X / cell)), int32(math.Floor(p.Y / cell))
+	return cellCoord(p.X, cell), cellCoord(p.Y, cell)
+}
+
+// cellCoord clamps like spatial.Grid — NaN maps to cell 0 — and then
+// saturates to int32, so far-out and non-finite coordinates get a
+// defined cell instead of an implementation-defined float conversion.
+func cellCoord(v, cell float64) int32 {
+	c := math.Floor(v / cell)
+	switch {
+	case c < math.MinInt32:
+		return math.MinInt32
+	case c > math.MaxInt32:
+		return math.MaxInt32
+	case c != c:
+		return 0
+	}
+	return int32(c)
 }
 
 // pos returns the node's current position from the dense store.
@@ -84,7 +100,7 @@ func (w *World) moveNode(id NodeID, p geom.Point) {
 }
 
 // recvCache is one node's cached broadcast receiver set (see
-// appendReceivers): the ids last returned for this sender, plus the
+// AppendReceivers): the ids last returned for this sender, plus the
 // validation state for both caching modes — the grid region stamp and
 // query cell for exact mode, the compute time for budget mode.
 type recvCache struct {
@@ -96,8 +112,17 @@ type recvCache struct {
 	everInit bool
 }
 
-// appendReceivers implements the world side of radio.SenderLocator: the
-// broadcast receiver set of node from, served from a per-sender cache.
+// Len implements radio.Network: the world's node count.
+func (w *World) Len() int { return len(w.store.pos) }
+
+// Position implements radio.Network from the dense store.
+func (w *World) Position(id NodeID) geom.Point { return w.store.pos[id] }
+
+// Battery implements radio.Network; the pointer is stable (see nodeStore).
+func (w *World) Battery(id NodeID) *energy.Battery { return &w.store.batteries[id] }
+
+// AppendReceivers implements radio.Network: the broadcast receiver set of
+// node from, served from a per-sender cache.
 //
 // Exact mode (NeighborStaleness == 0, the default): the cache is reused
 // only while the sender's cell and the grid's RegionStamp over its query
@@ -111,7 +136,8 @@ type recvCache struct {
 // budget expires, and each refresh drops dead nodes. Receiver sets may
 // then lag reality by up to one budget — the documented stale-tolerant
 // approximation that removes per-beacon range queries under churn.
-func (w *World) appendReceivers(dst []NodeID, from NodeID, p geom.Point, r float64) []NodeID {
+func (w *World) AppendReceivers(dst []NodeID, from NodeID, r float64) []NodeID {
+	p := w.store.pos[from]
 	if w.grid == nil || r != w.cfg.Radio.Range {
 		return w.index.AppendInRange(dst, p, r)
 	}
@@ -141,18 +167,4 @@ func (w *World) appendReceivers(dst []NodeID, from NodeID, p geom.Point, r float
 		w.recvRefreshes++
 	}
 	return append(dst, c.ids...)
-}
-
-// worldLocator adapts the world's index and receiver cache onto the
-// radio package's locator interfaces.
-type worldLocator struct{ w *World }
-
-// AppendInRange implements radio.Locator (uncached reference path).
-func (l worldLocator) AppendInRange(dst []int, p geom.Point, r float64) []int {
-	return l.w.index.AppendInRange(dst, p, r)
-}
-
-// AppendReceivers implements radio.SenderLocator.
-func (l worldLocator) AppendReceivers(dst []int, from NodeID, p geom.Point, r float64) []int {
-	return l.w.appendReceivers(dst, from, p, r)
 }

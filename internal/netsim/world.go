@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/energy"
@@ -69,18 +70,22 @@ type World struct {
 	// index tracks every node's current position for O(k) neighbor
 	// queries (Config.NeighborIndex selects grid vs brute-force). It is
 	// updated on every node move and serves HELLO seeding, broadcast
-	// receiver lookup (via the medium's locator), and AODV floods. Dead
+	// receiver lookup (AppendReceivers), and AODV floods. Dead
 	// nodes stay indexed: the radio still "reaches" them, and receivers
 	// are responsible for ignoring traffic, exactly as in the reference
 	// scan.
 	index spatial.Index
 	// grid is the index downcast to the grid implementation when the
 	// configured kind is grid-backed; nil otherwise. Receiver-set caching
-	// (see appendReceivers) needs the grid's RegionStamp.
+	// (see AppendReceivers) needs the grid's RegionStamp.
 	grid *spatial.Grid
 	// store holds the dense struct-of-arrays node state (position,
 	// battery, alive flag, grid cell); see store.go.
-	store    nodeStore
+	store nodeStore
+	// tables holds every node's HELLO neighbor table, indexed by node ID
+	// and carved from one arena at seeding, so a beacon delivery reaches
+	// its receiver's table without loading the receiver's *node.
+	tables   []hello.Table
 	cellSize float64
 	// recv caches per-sender broadcast receiver sets; recvRefreshes
 	// counts snapshot recomputations (asserted by the stale-neighbor
@@ -93,10 +98,10 @@ type World struct {
 	shards     int
 	pre        []premove
 	beaconMark []bool
-	// topoGraph caches the t=0 connectivity graph across AddFlow calls:
-	// flows are added before Run, when no node has moved, so one graph
-	// serves them all (rebuilding it per flow is quadratic pain at 100k
-	// nodes and 1000 flows).
+	// topoGraph caches the t=0 connectivity graph: nodes only move once
+	// Run starts, so one graph serves every Graph and AddFlow call before
+	// it (rebuilding it per flow is quadratic pain at 100k nodes and 1000
+	// flows).
 	topoGraph *topo.Graph
 
 	beaconer   *hello.Beaconer
@@ -268,21 +273,20 @@ func NewWorld(cfg Config, positions []geom.Point, energies []float64) (*World, e
 	if err != nil {
 		return nil, err
 	}
-	rcfg := cfg.Radio
-	if injector != nil {
-		rcfg.Faults = injector
-	}
-	medium, err := radio.NewMedium(sched, rcfg)
-	if err != nil {
-		return nil, err
-	}
 	index, err := spatial.New(cfg.NeighborIndex, cfg.Radio.Range)
 	if err != nil {
 		return nil, err
 	}
-	w := &World{cfg: cfg, sched: sched, medium: medium, index: index, firstDeath: -1, injector: injector,
+	w := &World{cfg: cfg, sched: sched, index: index, firstDeath: -1, injector: injector,
 		observing: cfg.Tracer != nil || cfg.Sink != nil,
 		syncRadio: cfg.Radio.Bandwidth <= 0}
+	rcfg := cfg.Radio
+	if injector != nil {
+		rcfg.Faults = injector
+	}
+	if w.medium, err = radio.NewMedium(sched, rcfg, w); err != nil {
+		return nil, err
+	}
 	w.grid, _ = index.(*spatial.Grid)
 	w.cellSize = cfg.Radio.Range
 	w.shards = 1
@@ -311,19 +315,9 @@ func NewWorld(cfg Config, positions []geom.Point, energies []float64) (*World, e
 	w.recv = make([]recvCache, len(positions))
 	w.nodes = make([]*node, 0, len(positions))
 	for i, pos := range positions {
-		n := &node{
-			id:        i,
-			world:     w,
-			neighbors: *hello.NewTable(cfg.NeighborTTL),
-			flows:     core.NewTable(),
-		}
-		w.nodes = append(w.nodes, n)
+		w.nodes = append(w.nodes, &node{id: i, world: w, flows: core.NewTable()})
 		w.index.Insert(i, pos)
-		if err := medium.Register(i, n); err != nil {
-			return nil, err
-		}
 	}
-	medium.UseLocator(worldLocator{w})
 	w.seedNeighborTables()
 	// Adopt the fault layer's crash/recovery schedule (node IDs can only
 	// be range-checked here, once the node count is known).
@@ -348,30 +342,48 @@ func (w *World) retryEnabled() bool { return w.cfg.Faults.RetryEnabled() }
 // seedNeighborTables performs the initial HELLO exchange: every node
 // learns its in-range neighbors' position and energy at t=0. The spatial
 // index serves each node's neighborhood in O(k), so seeding a world costs
-// O(n·k) instead of the former O(n²) all-pairs scan, and each table is
-// sized once to its neighbor count.
+// O(n·k) instead of an all-pairs scan. The range queries run once, into
+// one flat buffer, and every table is carved from one arena sized by it.
 func (w *World) seedNeighborTables() {
-	var buf []NodeID
-	for _, n := range w.nodes {
-		n.lastAdvert = n.beacon()
-		buf = w.index.AppendInRange(buf[:0], n.pos(), w.cfg.Radio.Range)
-		// buf holds the node itself too, which leaves the table one spare
-		// slot: it absorbs the first neighbor to drift into range, an
-		// arrival that would otherwise reallocate the whole table.
-		n.neighbors.Grow(len(buf))
-		for _, id := range buf {
-			if id == n.id {
-				continue
+	st := &w.store
+	// Presized for ~15 neighbors plus self, the density of the scale
+	// worlds; denser placements grow it.
+	flat := make([]NodeID, 0, 16*len(st.pos))
+	ends := make([]int, len(st.pos))
+	for i, p := range st.pos {
+		flat = w.index.AppendInRange(flat, p, w.cfg.Radio.Range)
+		ends[i] = len(flat)
+	}
+	// Each run holds the node itself too, so with one more spare slot a
+	// table absorbs the first two neighbors to drift into range, arrivals
+	// that would otherwise move it out of the arena.
+	w.tables = hello.NewTables(w.cfg.NeighborTTL, ends, 1)
+	lo := 0
+	for i, hi := range ends {
+		t := &w.tables[i]
+		for _, id := range flat[lo:hi] {
+			if id != i {
+				t.Update(hello.Beacon{ID: id, Position: st.pos[id], Residual: st.batteries[id].Residual()}, 0)
 			}
-			n.neighbors.Update(w.nodes[id].beacon(), 0)
 		}
+		lo = hi
+		w.nodes[i].lastAdvert = w.nodes[i].beacon()
 	}
 }
 
-// Graph returns the unit-disk connectivity graph over current positions,
-// backed by the world's configured neighbor-index kind.
+// Graph returns the unit-disk connectivity graph over a snapshot of the
+// current positions, backed by the world's configured neighbor-index
+// kind. Before Run every call shares one cached graph of the t=0
+// placement.
 func (w *World) Graph() (*topo.Graph, error) {
-	return topo.NewGraphIndexed(w.store.pos, w.cfg.Radio.Range, w.cfg.NeighborIndex)
+	if !w.started && w.topoGraph != nil {
+		return w.topoGraph, nil
+	}
+	g, err := topo.NewGraphIndexed(slices.Clone(w.store.pos), w.cfg.Radio.Range, w.cfg.NeighborIndex)
+	if err == nil && !w.started {
+		w.topoGraph = g
+	}
+	return g, err
 }
 
 // AddFlow registers a flow before Run. It plans (or validates) the path on
@@ -392,15 +404,10 @@ func (w *World) AddFlow(spec FlowSpec) (core.FlowID, error) {
 	}
 	// All flows are added before Run on the unmoved t=0 placement, so one
 	// cached graph plans and validates every flow.
-	if w.topoGraph == nil {
-		g, err := w.Graph()
-		if err != nil {
-			return 0, err
-		}
-		w.topoGraph = g
+	g, err := w.Graph()
+	if err != nil {
+		return 0, err
 	}
-	g := w.topoGraph
-	var err error
 	path := spec.Path
 	if path == nil {
 		path, err = w.planPath(g, spec.Src, spec.Dst, nil)

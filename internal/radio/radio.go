@@ -19,24 +19,35 @@ import (
 	"repro/internal/sim"
 )
 
-// NodeID identifies a registered endpoint.
+// NodeID identifies a node of the network.
 type NodeID = int
 
 // ErrOutOfRange is returned when the receiver is beyond radio range.
 var ErrOutOfRange = errors.New("radio: receiver out of range")
 
-// ErrUnknownNode is returned when a message addresses an unregistered node.
+// ErrUnknownNode is returned when a message addresses a node outside the
+// network.
 var ErrUnknownNode = errors.New("radio: unknown node")
 
-// Endpoint is the medium's view of a node: where it is, what battery pays
-// for its transmissions, and how it receives messages.
-type Endpoint interface {
-	// Position returns the node's current location; consulted at send time.
-	Position() geom.Point
-	// Battery returns the battery charged for this node's transmissions.
-	Battery() *energy.Battery
-	// Receive delivers a message. It runs inside a scheduler event.
-	Receive(from NodeID, msg any)
+// Network is the medium's view of the nodes it connects, addressed by
+// dense ID 0..Len()-1: where each node is, what battery pays for its
+// radio, which nodes a broadcast reaches, and how a message is handed
+// over. Every send and delivery goes through it, so the medium holds no
+// per-node state of its own.
+type Network interface {
+	// Len returns the node count; valid IDs are 0..Len()-1.
+	Len() int
+	// Position returns node id's current location; consulted at send time.
+	Position(id NodeID) geom.Point
+	// Battery returns the battery charged for node id's radio.
+	Battery(id NodeID) *energy.Battery
+	// Receive hands msg from node from to node to. It runs inside a
+	// scheduler event, after the medium charged any receive energy.
+	Receive(to, from NodeID, msg any)
+	// AppendReceivers appends the IDs of every node within r of node
+	// from's current position to dst, ascending, and returns the extended
+	// slice. It may include from itself (Broadcast skips it).
+	AppendReceivers(dst []NodeID, from NodeID, r float64) []NodeID
 }
 
 // Config parameterizes a Medium.
@@ -105,107 +116,37 @@ type Stats struct {
 	FaultDrops uint64
 }
 
-// Locator is a spatial view of the registered endpoints: it reports which
-// node IDs lie within a radius of a point, in ascending ID order
-// (spatial.Index satisfies it). Installing one via UseLocator lets
-// Broadcast find its receivers in O(k) instead of scanning every
-// registered endpoint.
-type Locator interface {
-	// AppendInRange appends the IDs of all indexed nodes within r of p to
-	// dst, ascending, and returns the extended slice.
-	AppendInRange(dst []int, p geom.Point, r float64) []int
-}
-
-// SenderLocator is an optional Locator extension: when the installed
-// locator also implements it, Broadcast resolves receivers through
-// AppendReceivers, passing the sending node's ID so the locator can
-// serve a per-sender cached neighbor snapshot (netsim's lazy HELLO
-// receiver sets) instead of re-running the range query per broadcast.
-// The result contract is AppendInRange's — ascending IDs, the sender
-// itself may be included (Broadcast skips it).
-type SenderLocator interface {
-	Locator
-	// AppendReceivers appends the broadcast receiver set of node from,
-	// currently at p with radio range r, to dst and returns the extended
-	// slice.
-	AppendReceivers(dst []int, from NodeID, p geom.Point, r float64) []int
-}
-
 // Medium is the shared wireless channel. It is single-threaded, driven by
 // the simulation scheduler.
 type Medium struct {
 	cfg   Config
 	sched *sim.Scheduler
-	// endpoints is indexed directly by NodeID (nil = unregistered): node
-	// IDs are small and dense in every caller (netsim numbers nodes
-	// 0..n-1), and slice indexing keeps the two per-unicast lookups off
-	// the map hash path. Iterating it ascending is the deterministic
-	// broadcast order.
-	endpoints []Endpoint
-	// locator, when installed, serves broadcast receiver lookups; nil
-	// falls back to the linear scan over endpoints. senderLoc is the
-	// same locator when it also implements SenderLocator.
-	locator   Locator
-	senderLoc SenderLocator
-	// scratch is the reusable receiver-ID buffer for locator broadcasts;
-	// pool recycles the deferred-delivery slots of the positive-bandwidth
-	// path so in-flight messages do not allocate per hop.
+	net   Network
+	// scratch is the reusable receiver-ID buffer for broadcasts; pool
+	// recycles the deferred-delivery slots of the positive-bandwidth path
+	// so in-flight messages do not allocate per hop.
 	scratch []NodeID
 	pool    []*delivery
 	stats   Stats
 }
 
-// maxNodeID bounds endpoint IDs so a mistyped huge ID cannot allocate an
-// absurd endpoint table (the slice grows to the largest registered ID).
-const maxNodeID = 1 << 24
-
-// NewMedium creates a medium on the given scheduler.
-func NewMedium(sched *sim.Scheduler, cfg Config) (*Medium, error) {
+// NewMedium creates a medium connecting the nodes of net on the given
+// scheduler.
+func NewMedium(sched *sim.Scheduler, cfg Config, net Network) (*Medium, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if sched == nil {
 		return nil, errors.New("radio: nil scheduler")
 	}
-	return &Medium{
-		cfg:   cfg,
-		sched: sched,
-	}, nil
+	if net == nil {
+		return nil, errors.New("radio: nil network")
+	}
+	return &Medium{cfg: cfg, sched: sched, net: net}, nil
 }
 
-// Register attaches an endpoint under the given ID, replacing any previous
-// registration.
-func (m *Medium) Register(id NodeID, ep Endpoint) error {
-	if ep == nil {
-		return errors.New("radio: nil endpoint")
-	}
-	if id < 0 || id >= maxNodeID {
-		return fmt.Errorf("radio: endpoint id %d out of range [0, %d)", id, maxNodeID)
-	}
-	for len(m.endpoints) <= id {
-		m.endpoints = append(m.endpoints, nil)
-	}
-	m.endpoints[id] = ep
-	return nil
-}
-
-// endpoint returns the registered endpoint for id, nil if absent.
-func (m *Medium) endpoint(id NodeID) Endpoint {
-	if id < 0 || id >= len(m.endpoints) {
-		return nil
-	}
-	return m.endpoints[id]
-}
-
-// UseLocator installs loc as the broadcast receiver source. The caller
-// owns consistency: loc must track exactly the registered endpoints and
-// their current positions (netsim.World maintains this through its
-// spatial index, updating it on every node move). A nil loc reverts to
-// the built-in scan over all registered endpoints.
-func (m *Medium) UseLocator(loc Locator) {
-	m.locator = loc
-	m.senderLoc, _ = loc.(SenderLocator)
-}
+// known reports whether id names a node of the network.
+func (m *Medium) known(id NodeID) bool { return id >= 0 && id < m.net.Len() }
 
 // Stats returns a copy of the activity counters.
 func (m *Medium) Stats() Stats { return m.stats }
@@ -216,14 +157,13 @@ func (m *Medium) Range() float64 { return m.cfg.Range }
 // TxModel returns the medium's transmission energy model.
 func (m *Medium) TxModel() energy.TxModel { return m.cfg.Tx }
 
-// InRange reports whether two registered nodes are currently within
+// InRange reports whether two nodes of the network are currently within
 // communication range of each other.
 func (m *Medium) InRange(a, b NodeID) bool {
-	ea, eb := m.endpoint(a), m.endpoint(b)
-	if ea == nil || eb == nil {
+	if !m.known(a) || !m.known(b) {
 		return false
 	}
-	return ea.Position().Dist(eb.Position()) <= m.cfg.Range
+	return m.net.Position(a).Dist(m.net.Position(b)) <= m.cfg.Range
 }
 
 // Unicast transmits bits from one node to another with power control: the
@@ -232,21 +172,19 @@ func (m *Medium) InRange(a, b NodeID) bool {
 // delay. Errors: ErrUnknownNode, ErrOutOfRange, energy.ErrDepleted (the
 // sender died mid-transmission; nothing is delivered).
 func (m *Medium) Unicast(from, to NodeID, bits float64, cat energy.Category, msg any) error {
-	sender := m.endpoint(from)
-	if sender == nil {
+	if !m.known(from) {
 		return fmt.Errorf("%w: sender %d", ErrUnknownNode, from)
 	}
-	receiver := m.endpoint(to)
-	if receiver == nil {
+	if !m.known(to) {
 		return fmt.Errorf("%w: receiver %d", ErrUnknownNode, to)
 	}
-	d := sender.Position().Dist(receiver.Position())
+	d := m.net.Position(from).Dist(m.net.Position(to))
 	if d > m.cfg.Range {
 		m.stats.RangeDrops++
 		return fmt.Errorf("%w: %d -> %d at %.1f m (range %.1f m)", ErrOutOfRange, from, to, d, m.cfg.Range)
 	}
 	m.stats.Unicasts++
-	if err := m.charge(sender, m.cfg.Tx.TxEnergy(d, bits), cat); err != nil {
+	if err := m.charge(from, m.cfg.Tx.TxEnergy(d, bits), cat); err != nil {
 		m.stats.DeadDrops++
 		return fmt.Errorf("radio: unicast %d -> %d: %w", from, to, err)
 	}
@@ -257,90 +195,60 @@ func (m *Medium) Unicast(from, to NodeID, bits float64, cat energy.Category, msg
 		m.stats.FaultDrops++
 		return nil
 	}
-	m.deliver(from, receiver, bits, cat, msg)
+	m.deliver(from, to, bits, cat, msg)
 	return nil
 }
 
 // Broadcast transmits bits from one node to every node currently in range,
-// spending the energy of a full-range transmission once. It returns the
-// number of receivers, or an error if the sender is unknown or died
-// mid-transmission.
+// spending the energy of a full-range transmission once. Receivers are
+// served in ascending ID order. It returns the number of receivers, or an
+// error if the sender is unknown or died mid-transmission.
 func (m *Medium) Broadcast(from NodeID, bits float64, cat energy.Category, msg any) (int, error) {
-	sender := m.endpoint(from)
-	if sender == nil {
+	if !m.known(from) {
 		return 0, fmt.Errorf("%w: sender %d", ErrUnknownNode, from)
 	}
 	m.stats.Broadcasts++
-	if err := m.charge(sender, m.cfg.Tx.TxEnergy(m.cfg.Range, bits), cat); err != nil {
+	if err := m.charge(from, m.cfg.Tx.TxEnergy(m.cfg.Range, bits), cat); err != nil {
 		m.stats.DeadDrops++
 		return 0, fmt.Errorf("radio: broadcast from %d: %w", from, err)
 	}
-	origin := sender.Position()
+	origin := m.net.Position(from)
+	// Detach the scratch buffer while iterating so a reentrant broadcast
+	// cannot clobber it.
+	ids := m.net.AppendReceivers(m.scratch[:0], from, m.cfg.Range)
+	m.scratch = nil
 	n := 0
-	if m.locator != nil {
-		// O(k) receiver lookup via the spatial index; ascending-ID order
-		// is part of the Locator contract. Detach the scratch buffer while
-		// iterating so a reentrant broadcast cannot clobber it.
-		ids := m.scratch[:0]
-		m.scratch = nil
-		if m.senderLoc != nil {
-			ids = m.senderLoc.AppendReceivers(ids, from, origin, m.cfg.Range)
-		} else {
-			ids = m.locator.AppendInRange(ids, origin, m.cfg.Range)
-		}
-		for _, id := range ids {
-			if id == from {
-				continue
-			}
-			if ep := m.endpoint(id); ep != nil {
-				if m.cfg.Faults != nil && m.cfg.Faults.Drop(from, id, origin.Dist(ep.Position()), m.cfg.Range) {
-					m.stats.FaultDrops++
-					continue
-				}
-				m.deliver(from, ep, bits, cat, msg)
-				n++
-			}
-		}
-		m.scratch = ids
-		return n, nil
-	}
-	// Reference path: deterministic receiver order, ascending ID.
-	for id, ep := range m.endpoints {
-		if id == from || ep == nil {
+	for _, id := range ids {
+		if id == from {
 			continue
 		}
-		if origin.Dist2(ep.Position()) <= m.cfg.Range*m.cfg.Range {
-			if m.cfg.Faults != nil && m.cfg.Faults.Drop(from, id, origin.Dist(ep.Position()), m.cfg.Range) {
-				m.stats.FaultDrops++
-				continue
-			}
-			m.deliver(from, ep, bits, cat, msg)
-			n++
+		if m.cfg.Faults != nil && m.cfg.Faults.Drop(from, id, origin.Dist(m.net.Position(id)), m.cfg.Range) {
+			m.stats.FaultDrops++
+			continue
 		}
+		m.deliver(from, id, bits, cat, msg)
+		n++
 	}
+	m.scratch = ids
 	return n, nil
 }
 
-func (m *Medium) charge(sender Endpoint, joules float64, cat energy.Category) error {
+func (m *Medium) charge(sender NodeID, joules float64, cat energy.Category) error {
 	if cat == energy.CatControl && !m.cfg.ChargeControl {
 		return nil
 	}
-	if err := sender.Battery().Draw(joules, cat); err != nil {
-		return err
-	}
-	return nil
+	return m.net.Battery(sender).Draw(joules, cat)
 }
 
 // delivery is one in-flight message of the positive-bandwidth path,
 // recycled through the medium's pool so serialization delay costs no
 // allocation per hop.
 type delivery struct {
-	m    *Medium
-	from NodeID
-	to   Endpoint
-	bits float64
-	cat  energy.Category
-	msg  any
+	m        *Medium
+	from, to NodeID
+	bits     float64
+	cat      energy.Category
+	msg      any
 }
 
 // deliverFn is the shared scheduler callback for deferred deliveries.
@@ -352,7 +260,7 @@ var deliverFn sim.Func = func(arg any) {
 	m.handoff(from, to, bits, cat, msg)
 }
 
-func (m *Medium) deliver(from NodeID, to Endpoint, bits float64, cat energy.Category, msg any) {
+func (m *Medium) deliver(from, to NodeID, bits float64, cat energy.Category, msg any) {
 	if m.cfg.Bandwidth <= 0 {
 		// Zero serialization delay: deliver synchronously. This keeps
 		// dense control traffic (HELLO floods) off the event queue.
@@ -376,23 +284,23 @@ func (m *Medium) deliver(from NodeID, to Endpoint, bits float64, cat energy.Cate
 }
 
 // handoff completes one delivery at the receiver.
-func (m *Medium) handoff(from NodeID, to Endpoint, bits float64, cat energy.Category, msg any) {
+func (m *Medium) handoff(from, to NodeID, bits float64, cat energy.Category, msg any) {
 	if !m.chargeRx(to, bits, cat) {
 		m.stats.DeadDrops++
 		return
 	}
 	m.stats.Delivered++
-	to.Receive(from, msg)
+	m.net.Receive(to, from, msg)
 }
 
 // chargeRx draws receiver electronics energy; it reports whether the
 // receiver survived to take the message.
-func (m *Medium) chargeRx(to Endpoint, bits float64, cat energy.Category) bool {
+func (m *Medium) chargeRx(to NodeID, bits float64, cat energy.Category) bool {
 	if m.cfg.RxPerBit <= 0 {
 		return true
 	}
 	if cat == energy.CatControl && !m.cfg.ChargeControl {
 		return true
 	}
-	return to.Battery().Draw(m.cfg.RxPerBit*bits, energy.CatRx) == nil
+	return m.net.Battery(to).Draw(m.cfg.RxPerBit*bits, energy.CatRx) == nil
 }

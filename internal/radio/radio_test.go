@@ -10,7 +10,7 @@ import (
 	"repro/internal/sim"
 )
 
-// testNode is a minimal Endpoint for medium tests.
+// testNode is one node of a testNet.
 type testNode struct {
 	pos      geom.Point
 	battery  *energy.Battery
@@ -22,11 +22,30 @@ type receipt struct {
 	msg  any
 }
 
-func (n *testNode) Position() geom.Point      { return n.pos }
-func (n *testNode) Battery() *energy.Battery  { return n.battery }
-func (n *testNode) Receive(from int, msg any) { n.received = append(n.received, receipt{from, msg}) }
+// testNet is a minimal Network for medium tests: nodes by index, with a
+// brute-force receiver scan.
+type testNet struct{ nodes []*testNode }
 
-var _ Endpoint = (*testNode)(nil)
+func (t *testNet) Len() int                          { return len(t.nodes) }
+func (t *testNet) Position(id NodeID) geom.Point     { return t.nodes[id].pos }
+func (t *testNet) Battery(id NodeID) *energy.Battery { return t.nodes[id].battery }
+
+func (t *testNet) Receive(to, from NodeID, msg any) {
+	n := t.nodes[to]
+	n.received = append(n.received, receipt{from, msg})
+}
+
+func (t *testNet) AppendReceivers(dst []NodeID, from NodeID, r float64) []NodeID {
+	p := t.nodes[from].pos
+	for id, n := range t.nodes {
+		if p.Dist2(n.pos) <= r*r {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
+var _ Network = (*testNet)(nil)
 
 func defaultConfig() Config {
 	return Config{Tx: energy.DefaultTxModel(), Range: 200}
@@ -34,19 +53,16 @@ func defaultConfig() Config {
 
 func setup(t *testing.T, cfg Config, positions ...geom.Point) (*sim.Scheduler, *Medium, []*testNode) {
 	t.Helper()
+	net := &testNet{nodes: make([]*testNode, len(positions))}
+	for i, p := range positions {
+		net.nodes[i] = &testNode{pos: p, battery: energy.NewBattery(100)}
+	}
 	sched := sim.NewScheduler()
-	m, err := NewMedium(sched, cfg)
+	m, err := NewMedium(sched, cfg, net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := make([]*testNode, len(positions))
-	for i, p := range positions {
-		nodes[i] = &testNode{pos: p, battery: energy.NewBattery(100)}
-		if err := m.Register(i, nodes[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return sched, m, nodes
+	return sched, m, net.nodes
 }
 
 func TestUnicastDeliversAndCharges(t *testing.T) {
@@ -240,24 +256,21 @@ func TestInRange(t *testing.T) {
 
 func TestMediumConfigValidation(t *testing.T) {
 	sched := sim.NewScheduler()
-	if _, err := NewMedium(sched, Config{Tx: energy.DefaultTxModel(), Range: 0}); err == nil {
+	net := &testNet{}
+	if _, err := NewMedium(sched, Config{Tx: energy.DefaultTxModel(), Range: 0}, net); err == nil {
 		t.Error("zero range should error")
 	}
-	if _, err := NewMedium(sched, Config{Tx: energy.DefaultTxModel(), Range: 100, Bandwidth: -1}); err == nil {
+	if _, err := NewMedium(sched, Config{Tx: energy.DefaultTxModel(), Range: 100, Bandwidth: -1}, net); err == nil {
 		t.Error("negative bandwidth should error")
 	}
-	if _, err := NewMedium(sched, Config{Tx: energy.TxModel{A: -1, B: 1, Alpha: 2}, Range: 100}); err == nil {
+	if _, err := NewMedium(sched, Config{Tx: energy.TxModel{A: -1, B: 1, Alpha: 2}, Range: 100}, net); err == nil {
 		t.Error("invalid tx model should error")
 	}
-	if _, err := NewMedium(nil, defaultConfig()); err == nil {
+	if _, err := NewMedium(nil, defaultConfig(), net); err == nil {
 		t.Error("nil scheduler should error")
 	}
-	m, err := NewMedium(sched, defaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register(1, nil); err == nil {
-		t.Error("nil endpoint should error")
+	if _, err := NewMedium(sched, defaultConfig(), nil); err == nil {
+		t.Error("nil network should error")
 	}
 }
 
@@ -281,8 +294,8 @@ func TestStatsCounts(t *testing.T) {
 }
 
 func TestPositionConsultedAtSendTime(t *testing.T) {
-	// A node that moved out of range since registration must not be
-	// reachable: the medium reads positions lazily.
+	// A node that moved out of range since the medium was built must not
+	// be reachable: the medium reads positions lazily.
 	_, m, nodes := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(100, 0))
 	nodes[1].pos = geom.Pt(5000, 0)
 	if err := m.Unicast(0, 1, 10, energy.CatTx, nil); !errors.Is(err, ErrOutOfRange) {
@@ -373,7 +386,64 @@ func TestRxCostControlFreeUnlessCharged(t *testing.T) {
 func TestNegativeRxCostRejected(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.RxPerBit = -1
-	if _, err := NewMedium(sim.NewScheduler(), cfg); err == nil {
+	if _, err := NewMedium(sim.NewScheduler(), cfg, &testNet{}); err == nil {
 		t.Error("negative rx cost should fail validation")
+	}
+}
+
+// dropFrom is a scripted FaultHook losing every delivery to one receiver.
+type dropFrom struct {
+	to    NodeID
+	dists []float64
+}
+
+func (d *dropFrom) Drop(from, to NodeID, dist, _ float64) bool {
+	d.dists = append(d.dists, dist)
+	return to == d.to
+}
+
+// TestDeferredBroadcastByID pins the positive-bandwidth broadcast path:
+// the fault hook sees every receiver in ascending ID order with its
+// distance from the sender, and the survivors are handed over by ID after
+// the serialization delay, with receive energy charged to their own
+// batteries.
+func TestDeferredBroadcastByID(t *testing.T) {
+	cfg := defaultConfig()
+	cfg.Bandwidth = 800
+	cfg.RxPerBit = 1e-6
+	cfg.ChargeControl = true
+	hook := &dropFrom{to: 2}
+	cfg.Faults = hook
+	sched, m, nodes := setup(t, cfg, geom.Pt(0, 0), geom.Pt(30, 40), geom.Pt(0, 100), geom.Pt(120, 160))
+	n, err := m.Broadcast(0, 800, energy.CatControl, "beacon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Errorf("reached %d receivers, want 2 (one of three lost)", n)
+	}
+	if want := []float64{50, 100, 200}; len(hook.dists) != len(want) ||
+		hook.dists[0] != want[0] || hook.dists[1] != want[1] || hook.dists[2] != want[2] {
+		t.Errorf("fault hook distances = %v, want %v", hook.dists, want)
+	}
+	if len(nodes[1].received) != 0 {
+		t.Fatal("delivered before the serialization delay")
+	}
+	if err := sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range []int{0, 1, 0, 1} {
+		if got := len(nodes[id].received); got != want {
+			t.Errorf("node %d received %d messages, want %d", id, got, want)
+		}
+	}
+	if got := nodes[3].battery.Spent(energy.CatRx); math.Abs(got-800e-6) > 1e-15 {
+		t.Errorf("receiver 3 rx energy = %v, want %v", got, 800e-6)
+	}
+	if got := nodes[2].battery.Spent(energy.CatRx); got != 0 {
+		t.Errorf("lost delivery charged rx energy %v", got)
+	}
+	if s := m.Stats(); s.Broadcasts != 1 || s.Delivered != 2 || s.FaultDrops != 1 {
+		t.Errorf("stats = %+v", s)
 	}
 }
