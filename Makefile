@@ -68,8 +68,9 @@ bench:
 # scheduler jitter; benchgate compares best-vs-best per metric. Only the
 # disabled MotionOverhead rungs are gated — they pin the
 # zero-cost-when-off contract; the active rungs run to the horizon and
-# are too slow (and too scenario-dependent) for a ratchet.
-GATED_BENCH = BenchmarkSimulationRun$$|BenchmarkSchedulerSteadyState$$|BenchmarkSweep/|BenchmarkServeSubmit$$|BenchmarkMotionOverhead/(off|stationary)$$|BenchmarkStrategyOverhead/|BenchmarkWorld100k/n5k
+# are too slow (and too scenario-dependent) for a ratchet. The retry
+# rungs of FaultOverhead pin the transport's allocation-free hop path.
+GATED_BENCH = BenchmarkSimulationRun$$|BenchmarkSchedulerSteadyState$$|BenchmarkSweep/|BenchmarkServeSubmit$$|BenchmarkMotionOverhead/(off|stationary)$$|BenchmarkStrategyOverhead/|BenchmarkWorld100k/n5k|BenchmarkFaultOverhead/(retry|lossy-retry)$$
 GATE_FLAGS  = -run '^$$' -benchmem -count=3
 
 # GATE_BENCH_RUN emits the full gated corpus: the multi-count gated set

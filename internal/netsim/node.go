@@ -10,16 +10,15 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/radio"
 	"repro/internal/routing"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
 // node carries one node's protocol state: flow table, last advertised
-// beacon, AODV instance, and retry-transport maps. The dense per-node
-// state — position, battery, alive flag, grid cell — lives in the world's
-// struct-of-arrays nodeStore (see store.go) and is reached through the
-// pos/battery/dead accessors; the HELLO neighbor table lives in the
-// world's tables arena, indexed by node ID.
+// beacon, and AODV instance. The dense per-node state — position,
+// battery, alive flag, grid cell — lives in the world's struct-of-arrays
+// nodeStore (see store.go) and is reached through the pos/battery/dead
+// accessors; the HELLO neighbor table lives in the world's tables arena
+// and the retry transport's state in World.retry, both indexed by node ID.
 type node struct {
 	id    NodeID
 	world *World
@@ -30,44 +29,6 @@ type node struct {
 	// aodv is the on-demand routing instance, created when the world
 	// uses AODV discovery.
 	aodv *routing.Instance
-	// pending tracks unacked data transmissions and seen suppresses
-	// duplicate data receptions; both are only populated when the retry
-	// transport is enabled (Config.Faults.RetryLimit > 0).
-	pending map[pendingKey]*pendingTx
-	seen    map[pendingKey]bool
-}
-
-// ackPacket is the hop-level acknowledgement of one data packet.
-type ackPacket struct {
-	flow core.FlowID
-	seq  uint64
-}
-
-// pendingKey identifies an in-flight (flow, seq) pair awaiting an ack.
-type pendingKey struct {
-	flow core.FlowID
-	seq  uint64
-}
-
-// pendingTx is one unacked data transmission: the header to retransmit,
-// the retry budget spent so far, and the armed timeout. It carries its
-// owner and key so the shared retryFn callback can be scheduled with the
-// entry itself as argument — no per-timer closure.
-type pendingTx struct {
-	hdr      core.Header
-	fr       *flowRuntime
-	owner    *node
-	key      pendingKey
-	attempts int
-	timer    sim.Handle
-	armed    bool
-}
-
-// retryFn is the shared retry-timeout callback (see sim.AfterArg): every
-// armed timer schedules this one function with its pendingTx as argument.
-func retryFn(arg any) {
-	pt := arg.(*pendingTx)
-	pt.owner.onRetryTimeout(pt.key)
 }
 
 func (n *node) beacon() hello.Beacon {
@@ -147,109 +108,11 @@ func (w *World) Receive(to, from NodeID, msg any) {
 	switch m := msg.(type) {
 	case *dataPacket:
 		n.onData(from, m)
-	case ackPacket:
+	case *ackPacket:
 		n.onAck(m)
 	case core.Notification:
 		n.onNotification(from, m)
 	}
-}
-
-// sendReliable transmits a data packet to the flow's current next hop
-// under the retry/ack transport: the pending entry is registered before
-// the transmission because the zero-bandwidth medium delivers — and acks —
-// synchronously, so by the time Unicast returns the packet may already be
-// acked.
-func (n *node) sendReliable(fr *flowRuntime, hdr core.Header) {
-	if n.pending == nil {
-		n.pending = make(map[pendingKey]*pendingTx)
-	}
-	key := pendingKey{flow: hdr.Flow, seq: hdr.Seq}
-	pt := &pendingTx{hdr: hdr, fr: fr, owner: n, key: key}
-	n.pending[key] = pt
-	n.transmitPending(key, pt)
-}
-
-// transmitPending puts one pending packet on the air toward the flow
-// table's current next hop and, if it is still unacked afterwards, arms
-// the retry timeout.
-func (n *node) transmitPending(key pendingKey, pt *pendingTx) {
-	w := n.world
-	entry, err := n.flows.Get(key.flow)
-	if err != nil || entry.Next < 0 {
-		delete(n.pending, key)
-		w.drop(pt.fr)
-		return
-	}
-	pkt := w.getPacket()
-	pkt.hdr = pt.hdr
-	err = w.medium.Unicast(n.id, entry.Next, pt.hdr.PayloadBits, energy.CatTx, pkt)
-	w.putPacket(pkt)
-	if err != nil {
-		delete(n.pending, key)
-		w.drop(pt.fr)
-		w.noteDepletion(n, err)
-		return
-	}
-	if _, still := n.pending[key]; !still {
-		return // acked synchronously during the Unicast
-	}
-	h, err := w.sched.AfterArg(sim.Time(w.cfg.Faults.RetryTimeout), retryFn, pt)
-	if err != nil {
-		return
-	}
-	pt.timer, pt.armed = h, true
-}
-
-// onRetryTimeout fires when a transmitted packet's ack did not arrive in
-// time: retransmit while budget remains, then declare the link broken and
-// either repair the route or drop the packet.
-func (n *node) onRetryTimeout(key pendingKey) {
-	w := n.world
-	pt, ok := n.pending[key]
-	if !ok {
-		return
-	}
-	pt.armed = false
-	if pt.attempts < w.cfg.Faults.RetryLimit {
-		pt.attempts++
-		w.transport.Retransmits++
-		n.transmitPending(key, pt)
-		return
-	}
-	// Retry budget exhausted: the next hop is unreachable from here.
-	delete(n.pending, key)
-	w.transport.LinkBreaks++
-	next := -1
-	if entry, err := n.flows.Get(key.flow); err == nil {
-		next = entry.Next
-	}
-	w.trace(trace.Event{At: w.sched.Now(), Kind: trace.KindLinkBreak, Node: n.id,
-		Flow: uint64(key.flow), Seq: key.seq, Peer: next})
-	if w.cfg.Faults.RouteRepair && w.repairFlow(pt.fr, n.id) {
-		w.transport.Retransmits++
-		n.sendReliable(pt.fr, pt.hdr)
-		return
-	}
-	w.drop(pt.fr)
-}
-
-// onAck resolves a pending transmission. Acks that match nothing (the
-// packet was already acked, or a retransmission raced its own late ack)
-// are counted and ignored.
-func (n *node) onAck(ack ackPacket) {
-	w := n.world
-	key := pendingKey{flow: ack.flow, seq: ack.seq}
-	pt, ok := n.pending[key]
-	if !ok {
-		w.transport.DupAcks++
-		return
-	}
-	delete(n.pending, key)
-	if pt.armed {
-		pt.timer.Cancel()
-		pt.armed = false
-	}
-	w.transport.Acks++
 }
 
 // onData executes the Figure 1 FlowOperations for a received data packet.
@@ -267,22 +130,20 @@ func (n *node) onData(from NodeID, pkt *dataPacket) {
 	if w.retryEnabled() {
 		// Ack first — even duplicates, whose previous ack may have been
 		// lost — then suppress re-processing of data already seen here.
-		ack := ackPacket{flow: hdr.Flow, seq: hdr.Seq}
-		if err := w.medium.Unicast(n.id, from, w.cfg.Faults.EffectiveAckBits(), energy.CatControl, ack); err != nil {
+		ack := w.getAck()
+		ack.flow, ack.seq = hdr.Flow, hdr.Seq
+		err := w.medium.Unicast(n.id, from, w.cfg.Faults.EffectiveAckBits(), energy.CatControl, ack)
+		w.putAck(ack)
+		if err != nil {
 			w.noteDepletion(n, err)
 			if n.dead() {
 				return
 			}
 		}
-		key := pendingKey{flow: hdr.Flow, seq: hdr.Seq}
-		if n.seen[key] {
+		if w.retry[n.id].markSeen(hdr.Flow, hdr.Seq) {
 			w.transport.DupData++
 			return
 		}
-		if n.seen == nil {
-			n.seen = make(map[pendingKey]bool)
-		}
-		n.seen[key] = true
 	}
 	entry, err := n.flows.Get(hdr.Flow)
 	if err != nil {
@@ -291,8 +152,10 @@ func (n *node) onData(from NodeID, pkt *dataPacket) {
 		w.drop(fr)
 		return
 	}
-	w.trace(trace.Event{At: w.sched.Now(), Kind: trace.KindPacketDelivered, Node: n.id,
-		Flow: uint64(hdr.Flow), Seq: hdr.Seq})
+	if w.observing {
+		w.trace(trace.Event{At: w.sched.Now(), Kind: trace.KindPacketDelivered, Node: n.id,
+			Flow: uint64(hdr.Flow), Seq: hdr.Seq})
+	}
 
 	if hdr.Dst == n.id {
 		n.deliver(fr, entry, hdr)
@@ -313,7 +176,7 @@ func (n *node) onData(from NodeID, pkt *dataPacket) {
 	}
 	// Forward first (from the current position), then move.
 	if w.retryEnabled() {
-		n.sendReliable(fr, *hdr)
+		n.sendReliable(fr, hdr)
 		if n.dead() {
 			return
 		}
@@ -464,7 +327,9 @@ func (n *node) move() {
 	}
 	next, _ := geom.StepToward(cur, target, desired)
 	w.moveNode(n.id, next)
-	w.trace(trace.Event{At: w.sched.Now(), Kind: trace.KindNodeMoved, Node: n.id, Pos: next})
+	if w.observing {
+		w.trace(trace.Event{At: w.sched.Now(), Kind: trace.KindNodeMoved, Node: n.id, Pos: next})
+	}
 }
 
 // linksSurvive reports whether, at the candidate position, every flow

@@ -14,8 +14,7 @@ import (
 // snapshots, beacon rounds, the parallel shard workers) stream through
 // contiguous memory instead of chasing *node pointers. The per-node
 // protocol state that only matters when a node is actively involved in
-// traffic (flow table, AODV instance, retry maps) stays on the node
-// struct.
+// traffic (flow table, AODV instance) stays on the node struct.
 //
 // batteries is a value slice sized once at NewWorld and never resized,
 // so &batteries[i] is stable and can back radio.Network.Battery.

@@ -146,6 +146,12 @@ type World struct {
 	syncRadio  bool
 	pktPool    []*dataPacket
 	beaconPool []*hello.Beacon
+	ackPool    []*ackPacket
+	// retry is the retry/ack transport's per-node state, indexed by node
+	// ID; nil when the transport is off (see transport.go). ptPool
+	// recycles its pending entries.
+	retry  []retryState
+	ptPool []*pendingTx
 	// Scratch buffers reused across hot-path calls (the world is
 	// single-threaded): flow-table rows for movement decisions, per-flow
 	// targets/weights for multi-flow relays, and the live-node compaction
@@ -319,6 +325,9 @@ func NewWorld(cfg Config, positions []geom.Point, energies []float64) (*World, e
 		w.index.Insert(i, pos)
 	}
 	w.seedNeighborTables()
+	if cfg.Faults.RetryEnabled() {
+		w.retry = make([]retryState, len(positions))
+	}
 	// Adopt the fault layer's crash/recovery schedule (node IDs can only
 	// be range-checked here, once the node count is known).
 	if cfg.Faults != nil {
@@ -337,7 +346,7 @@ func NewWorld(cfg Config, positions []geom.Point, energies []float64) (*World, e
 }
 
 // retryEnabled reports whether the hop-by-hop retry/ack transport is on.
-func (w *World) retryEnabled() bool { return w.cfg.Faults.RetryEnabled() }
+func (w *World) retryEnabled() bool { return w.retry != nil }
 
 // seedNeighborTables performs the initial HELLO exchange: every node
 // learns its in-range neighbors' position and energy at t=0. The spatial
@@ -771,10 +780,12 @@ func (w *World) emit(fr *flowRuntime) {
 	fr.emitted++
 	fr.inflight++
 	w.lastActivity = w.sched.Now()
-	w.trace(trace.Event{At: w.sched.Now(), Kind: trace.KindPacketSent, Node: srcNode.id,
-		Flow: uint64(hdr.Flow), Seq: hdr.Seq})
+	if w.observing {
+		w.trace(trace.Event{At: w.sched.Now(), Kind: trace.KindPacketSent, Node: srcNode.id,
+			Flow: uint64(hdr.Flow), Seq: hdr.Seq})
+	}
 	if w.retryEnabled() {
-		srcNode.sendReliable(fr, hdr)
+		srcNode.sendReliable(fr, &hdr)
 	} else {
 		pkt := w.getPacket()
 		pkt.hdr = hdr
@@ -841,7 +852,9 @@ func (w *World) markDead(n *node) {
 	if w.firstDeath < 0 {
 		w.firstDeath = w.sched.Now()
 	}
-	w.trace(trace.Event{At: w.sched.Now(), Kind: trace.KindNodeDied, Node: n.id, Pos: n.pos()})
+	if w.observing {
+		w.trace(trace.Event{At: w.sched.Now(), Kind: trace.KindNodeDied, Node: n.id, Pos: n.pos()})
+	}
 	if w.cfg.StopOnFirstDeath {
 		w.sched.Stop()
 		return
@@ -913,7 +926,9 @@ func (w *World) ambientStep(n *node) {
 		}
 	}
 	w.moveNode(n.id, next)
-	w.trace(trace.Event{At: w.sched.Now(), Kind: trace.KindNodeMoved, Node: n.id, Pos: next})
+	if w.observing {
+		w.trace(trace.Event{At: w.sched.Now(), Kind: trace.KindNodeMoved, Node: n.id, Pos: next})
+	}
 }
 
 // repairAroundDead re-plans every unfinished flow whose pinned path uses
@@ -1063,7 +1078,8 @@ func (w *World) planPath(g *topo.Graph, src, dst NodeID, toOld []NodeID) ([]Node
 // trace dispatches one event to the attached consumers. With no Tracer
 // and no Sink it is a single predicted branch, keeping the zero-observer
 // hot path at pre-observability cost (BenchmarkObserverOverhead pins
-// this).
+// this). trace is too large to inline, so the per-packet and per-move
+// call sites test w.observing themselves and skip building the event.
 func (w *World) trace(e trace.Event) {
 	if !w.observing {
 		return
