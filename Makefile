@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: build test race fuzz cover bench smoke serve sweep motion strategies \
-	parallel vet doclint observability benchgate benchgate-quick bench-baseline ci
+	vet doclint observability benchgate benchgate-quick bench-baseline ci
 
 build:
 	$(GO) build ./...
@@ -17,8 +17,8 @@ vet:
 doclint:
 	$(GO) run ./cmd/doclint .
 
-# race runs the concurrency-sensitive suites (parallel sweeps, shared
-# world state, golden serial-vs-parallel determinism, per-trial observers
+# race runs the concurrency-sensitive suites (parallel sweeps, concurrent
+# independent worlds, the serial golden digests, per-trial observers
 # under concurrent sweeps, mid-run cancellation) under the race detector,
 # plus the full service suite — the daemon's queue/pool/cache interlock
 # is the most concurrent code in the repo.
@@ -36,7 +36,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzScenarioFingerprint -fuzztime=5s ./internal/scenario/
 	$(GO) test -fuzz=FuzzSeedDerive -fuzztime=5s ./internal/sweep/
 	$(GO) test -fuzz=FuzzSchedulerOps -fuzztime=5s ./internal/sim/
-	$(GO) test -fuzz=FuzzLookaheadWindow -fuzztime=5s ./internal/sim/
 	$(GO) test -fuzz=FuzzCheckpointManifest -fuzztime=5s ./internal/dsweep/
 	$(GO) test -fuzz=FuzzGridOps -fuzztime=5s ./internal/spatial/
 
@@ -45,9 +44,9 @@ fuzz:
 # derivation, the service HTTP surface, and the distributed sweep
 # fabric. Floors sit just below current coverage so any substantial
 # untested addition fails here. The scheduler and world floors guard the
-# parallel-scheduler and struct-of-arrays paths: both are exercised almost
-# entirely by tests (the determinism battery), so a coverage drop there
-# means an unpinned scheduling path.
+# event queue and the struct-of-arrays world: both are pinned almost
+# entirely by tests (the golden digests and fingerprints), so a coverage
+# drop there means an unpinned simulation path.
 COVER_FLOORS = repro/internal/sweep:88 repro/internal/serve:83 repro/internal/dsweep:80 \
 	repro/internal/sim:97 repro/internal/netsim:82
 
@@ -74,10 +73,10 @@ GATED_BENCH = BenchmarkSimulationRun$$|BenchmarkSchedulerSteadyState$$|Benchmark
 GATE_FLAGS  = -run '^$$' -benchmem -count=3
 
 # GATE_BENCH_RUN emits the full gated corpus: the multi-count gated set
-# plus a single sample of the headline 100k-node rung (serial and
-# 8-shard), which is too slow for count=3 but must stay pinned in the
-# baseline — benchgate fails on baseline entries missing from a run, so
-# every gate invocation reruns it once.
+# plus a single sample of the headline 100k-node rung, which is too slow
+# for count=3 but must stay pinned in the baseline — benchgate fails on
+# baseline entries missing from a run, so every gate invocation reruns it
+# once.
 define GATE_BENCH_RUN
 ( $(GO) test $(GATE_FLAGS) -bench '$(GATED_BENCH)' -benchtime $(1) . ./internal/sim/ ./internal/serve/ ./internal/netsim/ \
 	&& $(GO) test -run '^$$' -benchmem -count=1 -bench 'BenchmarkWorld100k/n100k' -benchtime 1x ./internal/netsim/ )
@@ -170,14 +169,4 @@ motion:
 	$(GO) run -race ./cmd/imobif-sim -nodes 40 -field 800 -flow-kb 64 \
 		-motion rpgm -motion-groups 4 -motion-radius 60 -motion-seed 5 -seed 1
 
-# parallel runs the cross-scheduler determinism battery: every golden
-# scenario (zero-fault, faulty, each ambient-motion model, each registered
-# strategy) serial versus the conservative-lookahead scheduler at shards
-# {1,2,8} must produce byte-identical results, the stale-neighbor budget
-# contracts must hold, and the parallel paths must be race-clean with
-# real worker counts.
-parallel:
-	$(GO) test -run 'TestDeterminism|TestScaleWorldSmoke' ./internal/netsim/
-	$(GO) test -race -run 'TestDeterminismRaceParallelShards' ./internal/netsim/
-
-ci: vet doclint build test race fuzz cover smoke serve sweep motion strategies parallel observability benchgate-quick
+ci: vet doclint build test race fuzz cover smoke serve sweep motion strategies observability benchgate-quick

@@ -467,28 +467,25 @@ func BenchmarkNeighborRecompute(b *testing.B) {
 
 // BenchmarkWorldSeeding measures netsim.NewWorld on large placements —
 // dominated by the initial HELLO-table seeding, the first beneficiary of
-// the spatial index.
+// the spatial grid.
 func BenchmarkWorldSeeding(b *testing.B) {
-	for _, kind := range []spatial.Kind{spatial.KindGrid, spatial.KindBrute} {
-		for _, n := range []int{100, 1000} {
-			b.Run(fmt.Sprintf("%s-n%d", kind, n), func(b *testing.B) {
-				side := 1000 * math.Sqrt(float64(n)/100)
-				cfg := DefaultConfig()
-				cfg.Nodes = n
-				cfg.FieldWidth, cfg.FieldHeight = side, side
-				cfg.NeighborIndex = string(kind)
-				net, err := NewRandomNetwork(cfg, 7)
-				if err != nil {
+	for _, n := range []int{100, 1000} {
+		b.Run(fmt.Sprintf("grid-n%d", n), func(b *testing.B) {
+			side := 1000 * math.Sqrt(float64(n)/100)
+			cfg := DefaultConfig()
+			cfg.Nodes = n
+			cfg.FieldWidth, cfg.FieldHeight = side, side
+			net, err := NewRandomNetwork(cfg, 7)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewSimulation(cfg, net); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := NewSimulation(cfg, net); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

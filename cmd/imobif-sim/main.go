@@ -40,7 +40,6 @@ func main() {
 	var (
 		nodes       = flag.Int("nodes", 100, "number of nodes")
 		field       = flag.Float64("field", 1000, "square field side, meters (0 = auto-scale to the paper's density of 100 nodes/km²)")
-		index       = flag.String("index", "grid", "neighbor index: grid (O(k) spatial grid) or brute (O(n) reference); results are identical")
 		rng         = flag.Float64("range", 200, "radio range, meters")
 		k           = flag.Float64("k", 0.5, "mobility cost, J/m")
 		alpha       = flag.Float64("alpha", 2, "path-loss exponent")
@@ -50,8 +49,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "random seed")
 		trials      = flag.Int("trials", 1, "Monte-Carlo trials; >1 runs a batch over per-trial derived seeds and prints aggregates")
 		concurrency = flag.Int("concurrency", 0, "parallel workers for -trials batches (0 = all CPUs, 1 = serial; results are identical either way)")
-		parallel    = flag.Bool("parallel", false, "run each world on the conservative-lookahead parallel scheduler (results are byte-identical to serial)")
-		shards      = flag.Int("shards", 0, "worker goroutines per world for -parallel (0 = min(GOMAXPROCS, 8))")
 		compare     = flag.Bool("compare", false, "also run the no-mobility baseline and print the energy ratio")
 		deaths      = flag.Bool("stop-on-death", false, "stop at the first node death (lifetime runs)")
 		energyLo    = flag.Float64("energy-lo", 5000, "min initial node energy, J")
@@ -121,8 +118,7 @@ func main() {
 				flowKB: *flowKB, strategy: *strategy, mode: *mode, seed: *seed,
 				compare: *compare, deaths: *deaths,
 				energyLo: *energyLo, energyHi: *energyHi,
-				index: *index, faults: fo, motion: mo,
-				parallel: *parallel, shards: *shards,
+				faults: fo, motion: mo,
 			},
 			trials: *trials, concurrency: *concurrency, progress: *progress,
 		})
@@ -132,8 +128,7 @@ func main() {
 			flowKB: *flowKB, strategy: *strategy, mode: *mode, seed: *seed,
 			compare: *compare, deaths: *deaths,
 			energyLo: *energyLo, energyHi: *energyHi,
-			index: *index, faults: fo, motion: mo,
-			parallel: *parallel, shards: *shards,
+			faults: fo, motion: mo,
 			traceOut: *traceOut, metricsOut: *metricsOut, sampleInterval: *sampleInterval,
 		})
 	}
@@ -226,14 +221,11 @@ type runOpts struct {
 	field, rng, k      float64
 	alpha, flowKB      float64
 	strategy, mode     string
-	index              string
 	seed               int64
 	compare, deaths    bool
 	energyLo, energyHi float64
 	faults             faultOpts
 	motion             motionOpts
-	parallel           bool
-	shards             int
 
 	// Observability outputs (single-run mode): JSONL event trace and
 	// sampled run metrics. Empty paths disable them.
@@ -256,12 +248,9 @@ func (o runOpts) config() (imobif.Config, error) {
 	cfg.PathLossExp = o.alpha
 	cfg.Strategy = imobif.Strategy(o.strategy)
 	cfg.Mode = imobif.Mode(o.mode)
-	cfg.NeighborIndex = o.index
 	cfg.StopOnFirstDeath = o.deaths
 	cfg.Faults = o.faults.config()
 	cfg.Motion = o.motion.config()
-	cfg.Parallel = o.parallel
-	cfg.Shards = o.shards
 	return cfg, cfg.Validate()
 }
 

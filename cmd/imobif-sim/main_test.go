@@ -14,7 +14,7 @@ import (
 func baseOpts() runOpts {
 	return runOpts{
 		nodes: 40, field: 800, rng: 200, k: 0.5, alpha: 2, flowKB: 100,
-		strategy: "min-energy", mode: "informed", index: "grid", seed: 3,
+		strategy: "min-energy", mode: "informed", seed: 3,
 		energyLo: 5000, energyHi: 10000,
 	}
 }
@@ -32,7 +32,6 @@ func TestRunLifetimeScenario(t *testing.T) {
 	o.flowKB = 10240
 	o.strategy = "max-lifetime"
 	o.mode = "cost-unaware"
-	o.index = "brute"
 	o.compare, o.deaths = true, true
 	o.energyLo, o.energyHi = 100, 200
 	if err := run(io.Discard, o); err != nil {

@@ -70,8 +70,8 @@
 //
 // Neighbor queries run against a uniform-grid spatial index
 // (radio-range-sized cells, O(k) per query), so node counts far beyond
-// the paper's 100 stay tractable; Config.NeighborIndex selects the
-// brute-force reference scan instead, which produces bit-identical
-// results. See ARCHITECTURE.md for the package map and dataflow, and
-// EXPERIMENTS.md for measured figures and scaling numbers.
+// the paper's 100 stay tractable; differential tests hold whole runs
+// bit-identical to a brute-force reference scan. See ARCHITECTURE.md for
+// the package map and dataflow, and EXPERIMENTS.md for measured figures
+// and scaling numbers.
 package imobif

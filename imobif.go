@@ -13,7 +13,6 @@ import (
 	"repro/internal/radio"
 	"repro/internal/routing"
 	"repro/internal/sim"
-	"repro/internal/spatial"
 	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -126,12 +125,6 @@ type Config struct {
 	EstimateScale float64
 	// StopOnFirstDeath ends the run when any node depletes its battery.
 	StopOnFirstDeath bool
-	// NeighborIndex selects the spatial index backing neighbor queries:
-	// "grid" (the default when empty) answers range queries in O(k) via
-	// radio-range-sized cells and makes large Nodes counts tractable;
-	// "brute" is the O(n) reference scan kept for differential testing.
-	// Both produce bit-identical results.
-	NeighborIndex string
 	// Faults optionally enables the fault-injection layer: seeded per-link
 	// packet loss, scheduled node crash/recovery, the hop-by-hop retry/ack
 	// transport, and route repair around dead relays. Nil keeps the ideal
@@ -144,16 +137,6 @@ type Config struct {
 	// arms no movement events, bit-identical to a build without the
 	// layer.
 	Motion *MotionConfig
-	// Parallel runs the simulation on the conservative-lookahead
-	// windowed scheduler, which precomputes independent per-node work
-	// (ambient motion steps, HELLO drift scans) across Shards worker
-	// goroutines while firing events in exact serial order — results
-	// are byte-identical to the default serial scheduler. Off by
-	// default.
-	Parallel bool
-	// Shards is the worker count for Parallel runs; zero picks
-	// min(GOMAXPROCS, 8). Ignored when Parallel is false.
-	Shards int
 }
 
 // DefaultConfig returns the paper's reconstructed evaluation parameters
@@ -248,11 +231,8 @@ func (c Config) netsim() (netsim.Config, error) {
 	cfg.FlowRateBps = c.FlowRateBytesPerSec * 8
 	cfg.EstimateScale = c.EstimateScale
 	cfg.StopOnFirstDeath = c.StopOnFirstDeath
-	cfg.NeighborIndex = spatial.Kind(c.NeighborIndex)
 	cfg.Faults = c.Faults.fault()
 	cfg.Motion = c.Motion.motion(c.FieldWidth, c.FieldHeight)
-	cfg.Parallel = c.Parallel
-	cfg.Shards = c.Shards
 	return cfg, nil
 }
 

@@ -3,36 +3,28 @@ package experiments
 import "testing"
 
 // TestRunScalingSmall runs a scaled-down sweep and checks the table
-// shape, the throughput figures, and the cross-scheduler agreement the
-// driver enforces internally.
+// shape and the throughput figures.
 func TestRunScalingSmall(t *testing.T) {
 	p := ParamsScaling()
 	p.Nodes = []int{500, 1500}
-	p.Shards = []int{0, 2}
 	p.Horizon = 2e4
 	res, err := RunScaling(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(res.Cells), len(p.Nodes)*len(p.Shards); got != want {
+	if got, want := len(res.Cells), len(p.Nodes); got != want {
 		t.Fatalf("got %d cells, want %d", got, want)
 	}
-	byRung := map[int][]ScalingCell{}
-	for _, c := range res.Cells {
+	for i, c := range res.Cells {
+		if c.Nodes != p.Nodes[i] {
+			t.Errorf("cell %d: nodes %d, want %d", i, c.Nodes, p.Nodes[i])
+		}
 		if c.WallSeconds <= 0 || c.SimSeconds <= 0 || c.NodeSimPerWall <= 0 {
 			t.Errorf("cell %+v has non-positive timing", c)
 		}
 		if c.Flows < 1 || c.Completed < 0.5 {
-			t.Errorf("cell n=%d shards=%d: %d flows, completed %.2f — workload not exercising traffic",
-				c.Nodes, c.Shards, c.Flows, c.Completed)
-		}
-		byRung[c.Nodes] = append(byRung[c.Nodes], c)
-	}
-	for n, cells := range byRung {
-		for _, c := range cells[1:] {
-			if c.TotalJ != cells[0].TotalJ {
-				t.Errorf("rung n=%d: energy diverged across shard settings: %v vs %v", n, c.TotalJ, cells[0].TotalJ)
-			}
+			t.Errorf("cell n=%d: %d flows, completed %.2f — workload not exercising traffic",
+				c.Nodes, c.Flows, c.Completed)
 		}
 	}
 }

@@ -105,15 +105,6 @@ type Config struct {
 	// Planner plans flow paths on the initial topology (default greedy,
 	// as in the paper's evaluation).
 	Planner routing.Planner
-	// NeighborIndex selects the spatial index backing the world's
-	// neighbor queries — initial HELLO seeding, beacon broadcast receiver
-	// lookup, and AODV flood fan-out. spatial.KindGrid (the default when
-	// empty) answers range queries in O(k) via radio-range-sized cells
-	// and is what makes large-node-count scenarios tractable;
-	// spatial.KindBrute is the O(n) reference scan kept for differential
-	// testing. Both produce bit-identical runs (see the equivalence
-	// tests).
-	NeighborIndex spatial.Kind
 	// Faults, when non-nil, enables the fault-injection layer: seeded
 	// per-link packet loss on the radio medium, scheduled node
 	// crash/recovery events, the hop-by-hop retry/ack transport, and
@@ -152,28 +143,11 @@ type Config struct {
 	// simulated seconds into Result.Series, plus one sample at t=0 and
 	// one when the run ends. Zero disables sampling.
 	SampleInterval sim.Time
-	// Parallel, when true, runs the world on the conservative-lookahead
-	// windowed scheduler (sim.RunUntilWindowed): events inside one
-	// lookahead window are batched, the pure per-node work (ambient
-	// motion steps, beacon drift scans) is precomputed across Shards
-	// worker goroutines, and the events then fire in exact (time, seq)
-	// order — so results stay byte-identical to the serial scheduler
-	// (the cross-scheduler determinism battery pins it). Off by default.
-	Parallel bool
-	// Shards is the worker-goroutine count for Parallel runs. Zero picks
-	// min(GOMAXPROCS, 8); negative is invalid. Ignored when Parallel is
-	// false.
-	Shards int
-	// NeighborStaleness, when positive, switches broadcast receiver sets
-	// to budget mode: a sender's cached receiver snapshot is reused until
-	// the sender crosses a grid cell or the snapshot is older than this
-	// budget, instead of being revalidated against the grid every
-	// broadcast. Receiver sets may then lag topology changes by up to one
-	// budget — a documented approximation that trades HELLO fidelity for
-	// throughput at large n. Zero (the default) keeps exact semantics:
-	// snapshots are revalidated by cell + region-stamp checks and results
-	// are byte-identical to querying the index every time.
-	NeighborStaleness sim.Time
+
+	// index selects the spatial index behind the world's neighbor
+	// queries. Empty means the grid; only the grid-versus-brute
+	// differential tests set spatial.KindBrute, the O(n) reference scan.
+	index spatial.Kind
 }
 
 // DefaultConfig returns the paper-reconstructed parameters (DESIGN.md §1):
@@ -235,9 +209,6 @@ func (c Config) Validate() error {
 	if c.Planner == nil {
 		return errors.New("netsim: nil planner")
 	}
-	if err := c.NeighborIndex.Validate(); err != nil {
-		return err
-	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
 	}
@@ -252,12 +223,6 @@ func (c Config) Validate() error {
 	}
 	if c.SampleInterval < 0 {
 		return fmt.Errorf("netsim: negative sample interval %v", c.SampleInterval)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("netsim: negative shard count %d", c.Shards)
-	}
-	if c.NeighborStaleness < 0 {
-		return fmt.Errorf("netsim: negative neighbor staleness %v", c.NeighborStaleness)
 	}
 	return nil
 }

@@ -5,8 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/stats"
-	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -21,47 +19,9 @@ import (
 // test asserts a disabled motion layer hashes identically).
 func goldenWorldFingerprint(t *testing.T, mode Mode, mutate ...func(*Config)) uint64 {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Mode = mode
 	tracer := trace.New(1 << 20)
-	cfg.Tracer = tracer
-	for _, m := range mutate {
-		m(&cfg)
-	}
-
-	src := stats.NewSource(42)
-	pts := topo.PlaceUniform(src, 60, 800, 800)
-	energies := make([]float64, len(pts))
-	for i := range energies {
-		energies[i] = src.Uniform(5000, 10000)
-	}
-	w, err := NewWorld(cfg, pts, energies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deterministic endpoint selection: the first destination that greedy
-	// routing reaches from node 0 with at least one relay in between.
-	g, err := w.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := -1
-	for j := 1; j < len(pts); j++ {
-		if path, err := g.GreedyPath(0, j); err == nil && len(path) >= 4 {
-			dst = j
-			break
-		}
-	}
-	if dst < 0 {
-		t.Fatal("no routable flow endpoint found")
-	}
-	if _, err := w.AddFlow(FlowSpec{Src: 0, Dst: dst, LengthBits: 4e6}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := w.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	withTracer := func(cfg *Config) { cfg.Tracer = tracer }
+	res := goldenWorldResult(t, mode, append([]func(*Config){withTracer}, mutate...)...)
 
 	h := fnv.New64a()
 	f64 := func(v float64) {

@@ -1,8 +1,6 @@
 package netsim
 
 import (
-	"encoding/json"
-	"hash/fnv"
 	"testing"
 
 	"repro/internal/fault"
@@ -88,13 +86,7 @@ func TestGoldenRetryTransport(t *testing.T) {
 			if res.Transport != g.transport {
 				t.Errorf("transport counters %+v, want %+v", res.Transport, g.transport)
 			}
-			buf, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := fnv.New64a()
-			h.Write(buf)
-			if got := h.Sum64(); got != g.digest {
+			if got := resultDigest(t, res); got != g.digest {
 				t.Errorf("Result digest %#x, want %#x (faults %+v, medium %+v, flows %+v)",
 					got, g.digest, res.Faults, res.Medium, res.Flows)
 			}

@@ -1,20 +1,18 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"time"
 
 	"repro/internal/geom"
 	"repro/internal/motion"
-	"repro/internal/spatial"
 	"repro/internal/stats"
 	"repro/internal/topo"
 )
 
 // The BenchmarkWorld100k family pins the scaling target of the
-// struct-of-arrays + lookahead-scheduler work: a 100k-node, 1000-flow
+// struct-of-arrays store and the grid index: a 100k-node, 1000-flow
 // world with ambient mobility must complete in minutes, not hours. The
 // smaller rungs are cheap enough for the benchgate ratchet; the n100k
 // rung runs once per gate invocation (see the Makefile's benchgate
@@ -24,7 +22,7 @@ import (
 // neighbors, arms ambient Gauss-Markov drift, and adds `flows` short
 // flows between endpoints a few hops apart (found by bounded BFS, so
 // setup stays linear in n instead of planning cross-field routes).
-func buildScaleWorld(tb testing.TB, nodes, flows int, parallel bool, shards int) *World {
+func buildScaleWorld(tb testing.TB, nodes, flows int) *World {
 	tb.Helper()
 	const targetDegree = 15
 	side := math.Sqrt(float64(nodes) * math.Pi * 200 * 200 / targetDegree)
@@ -36,14 +34,11 @@ func buildScaleWorld(tb testing.TB, nodes, flows int, parallel bool, shards int)
 	}
 	cfg := DefaultConfig()
 	cfg.Mode = ModeNoMobility
-	cfg.NeighborIndex = spatial.KindGrid
 	cfg.Motion = &motion.Config{
 		Model: motion.ModelGaussMarkov, Seed: 7,
 		FieldW: side, FieldH: side,
 		SpeedLo: 0.5, SpeedHi: 1.5,
 	}
-	cfg.Parallel = parallel
-	cfg.Shards = shards
 	cfg.Horizon = 1e5
 	w, err := NewWorld(cfg, pts, energies)
 	if err != nil {
@@ -99,8 +94,8 @@ func buildScaleWorld(tb testing.TB, nodes, flows int, parallel bool, shards int)
 	return w
 }
 
-// BenchmarkWorld100k measures full-world runs across node-count rungs and
-// both schedulers. Setup (placement, seeding, flow planning) is untimed;
+// BenchmarkWorld100k measures full-world runs across node-count rungs.
+// Setup (placement, seeding, flow planning) is untimed;
 // the measured region is the event-loop run itself, also reported per
 // radio delivery (ns/delivery).
 func BenchmarkWorld100k(b *testing.B) {
@@ -112,69 +107,49 @@ func BenchmarkWorld100k(b *testing.B) {
 		{"n20k", 20000, 200},
 		{"n100k", 100000, 1000},
 	}
-	modes := []struct {
-		name     string
-		parallel bool
-		shards   int
-	}{
-		{"serial", false, 0},
-		{"shards8", true, 8},
-	}
 	for _, r := range rungs {
-		for _, m := range modes {
-			b.Run(fmt.Sprintf("%s-%s", r.name, m.name), func(b *testing.B) {
-				var run time.Duration
-				var delivered uint64
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					w := buildScaleWorld(b, r.nodes, r.flows, m.parallel, m.shards)
-					b.StartTimer()
-					start := time.Now()
-					res, err := w.Run()
-					run += time.Since(start)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(res.Flows) == 0 {
-						b.Fatal("no flow outcomes")
-					}
-					delivered += res.Medium.Delivered
+		b.Run(r.name+"-serial", func(b *testing.B) {
+			var run time.Duration
+			var delivered uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				w := buildScaleWorld(b, r.nodes, r.flows)
+				b.StartTimer()
+				start := time.Now()
+				res, err := w.Run()
+				run += time.Since(start)
+				if err != nil {
+					b.Fatal(err)
 				}
-				// Per-layer cost over a deterministic denominator: the
-				// medium's delivery count is fixed by the scenario, so
-				// ns/delivery moves only with the cost of a delivery.
-				b.ReportMetric(float64(run.Nanoseconds())/float64(delivered), "ns/delivery")
-			})
-		}
+				if len(res.Flows) == 0 {
+					b.Fatal("no flow outcomes")
+				}
+				delivered += res.Medium.Delivered
+			}
+			// Per-layer cost over a deterministic denominator: the
+			// medium's delivery count is fixed by the scenario, so
+			// ns/delivery moves only with the cost of a delivery.
+			b.ReportMetric(float64(run.Nanoseconds())/float64(delivered), "ns/delivery")
+		})
 	}
 }
 
 // TestScaleWorldSmoke keeps the benchmark scenario builder honest in the
 // ordinary test run: a scaled-down rung must complete with most flows
-// delivered, under both schedulers, with identical results.
+// delivered.
 func TestScaleWorldSmoke(t *testing.T) {
-	run := func(parallel bool, shards int) Result {
-		w := buildScaleWorld(t, 2000, 20, parallel, shards)
-		res, err := w.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := run(false, 0)
-	parallel := run(true, 4)
-	if serial.Duration != parallel.Duration || serial.Energy != parallel.Energy {
-		t.Errorf("scale scenario diverged across schedulers: serial %+v vs parallel %+v",
-			serial.Energy, parallel.Energy)
+	res, err := buildScaleWorld(t, 2000, 20).Run()
+	if err != nil {
+		t.Fatal(err)
 	}
 	completed := 0
-	for _, fo := range serial.Flows {
+	for _, fo := range res.Flows {
 		if fo.Completed {
 			completed++
 		}
 	}
-	if completed < len(serial.Flows)/2 {
-		t.Errorf("only %d/%d flows completed in scale scenario", completed, len(serial.Flows))
+	if completed < len(res.Flows)/2 {
+		t.Errorf("only %d/%d flows completed in scale scenario", completed, len(res.Flows))
 	}
 }
 
@@ -183,7 +158,7 @@ func TestScaleWorldSmoke(t *testing.T) {
 // drift has moved the nodes — Pos, Connected and Neighbors all agree —
 // while a graph taken after Run sees the moved positions.
 func TestGraphBeforeRunIsSnapshot(t *testing.T) {
-	w := buildScaleWorld(t, 2000, 20, false, 0)
+	w := buildScaleWorld(t, 2000, 20)
 	g, err := w.Graph()
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // not of the index, so both kinds must agree on it too).
 func runScenario(t *testing.T, cfg Config, kind spatial.Kind, pts []geom.Point, src, dst int, bits float64) (Result, bool) {
 	t.Helper()
-	cfg.NeighborIndex = kind
+	cfg.index = kind
 	energies := make([]float64, len(pts))
 	for i := range energies {
 		energies[i] = 500

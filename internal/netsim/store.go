@@ -5,13 +5,12 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/geom"
-	"repro/internal/sim"
 )
 
 // nodeStore is the world's struct-of-arrays node state: the fields every
 // hot loop touches — position, battery, alive flag, grid cell — live in
 // dense parallel slices indexed by NodeID, so scans (metrics samples,
-// snapshots, beacon rounds, the parallel shard workers) stream through
+// snapshots, beacon rounds) stream through
 // contiguous memory instead of chasing *node pointers. The per-node
 // protocol state that only matters when a node is actively involved in
 // traffic (flow table, AODV instance) stays on the node struct.
@@ -23,9 +22,9 @@ type nodeStore struct {
 	batteries []energy.Battery
 	dead      []bool
 	// cellX/cellY are the node's current grid cell coordinates under the
-	// radio-range cell size, maintained on every move. They shard the
-	// parallel motion precompute spatially and detect cell crossings for
-	// the stale-tolerant neighbor snapshots without querying the index.
+	// radio-range cell size, maintained on every move. They detect cell
+	// crossings for the cached broadcast receiver sets without querying
+	// the index.
 	cellX []int32
 	cellY []int32
 }
@@ -82,32 +81,21 @@ func (n *node) dead() bool { return n.world.store.dead[n.id] }
 func (n *node) battery() *energy.Battery { return &n.world.store.batteries[n.id] }
 
 // moveNode is the single write path for node positions: it updates the
-// dense store, the node's cell coordinates, the spatial index, and — on a
-// cell crossing — invalidates the node's stale-tolerant receiver
-// snapshot so budget-mode HELLO sees the crossing immediately.
+// dense store, the node's cell coordinates, and the spatial index.
 func (w *World) moveNode(id NodeID, p geom.Point) {
 	st := &w.store
 	st.pos[id] = p
-	cx, cy := cellCoords(p, w.cellSize)
-	if cx != st.cellX[id] || cy != st.cellY[id] {
-		st.cellX[id], st.cellY[id] = cx, cy
-		if w.recv != nil {
-			w.recv[id].valid = false
-		}
-	}
+	st.cellX[id], st.cellY[id] = cellCoords(p, w.cellSize)
 	w.index.Move(id, p)
 }
 
 // recvCache is one node's cached broadcast receiver set (see
-// AppendReceivers): the ids last returned for this sender, plus the
-// validation state for both caching modes — the grid region stamp and
-// query cell for exact mode, the compute time for budget mode.
+// AppendReceivers): the ids last returned for this sender, plus the grid
+// region stamp and query cell they were computed under.
 type recvCache struct {
 	ids      []NodeID
 	stamp    uint64
 	cx, cy   int32
-	at       sim.Time
-	valid    bool
 	everInit bool
 }
 
@@ -121,42 +109,18 @@ func (w *World) Position(id NodeID) geom.Point { return w.store.pos[id] }
 func (w *World) Battery(id NodeID) *energy.Battery { return &w.store.batteries[id] }
 
 // AppendReceivers implements radio.Network: the broadcast receiver set of
-// node from, served from a per-sender cache.
-//
-// Exact mode (NeighborStaleness == 0, the default): the cache is reused
-// only while the sender's cell and the grid's RegionStamp over its query
+// node from, served from a per-sender cache. The cache is reused only
+// while the sender's cell and the grid's RegionStamp over its query
 // rectangle are unchanged — conditions under which the underlying range
 // query provably returns the same ids — so results are byte-identical to
 // querying the index every time, and a fully stationary neighborhood
 // recomputes zero snapshots (TestStaleStationaryZeroRecomputes pins it).
-//
-// Budget mode (NeighborStaleness > 0): the cache is reused until the
-// sender crosses a grid cell (moveNode invalidates it) or the staleness
-// budget expires, and each refresh drops dead nodes. Receiver sets may
-// then lag reality by up to one budget — the documented stale-tolerant
-// approximation that removes per-beacon range queries under churn.
 func (w *World) AppendReceivers(dst []NodeID, from NodeID, r float64) []NodeID {
 	p := w.store.pos[from]
 	if w.grid == nil || r != w.cfg.Radio.Range {
 		return w.index.AppendInRange(dst, p, r)
 	}
 	c := &w.recv[from]
-	if w.cfg.NeighborStaleness > 0 {
-		now := w.sched.Now()
-		if !c.valid || now-c.at > w.cfg.NeighborStaleness {
-			c.ids = w.index.AppendInRange(c.ids[:0], p, r)
-			live := c.ids[:0]
-			for _, id := range c.ids {
-				if !w.store.dead[id] {
-					live = append(live, id)
-				}
-			}
-			c.ids = live
-			c.at, c.valid = now, true
-			w.recvRefreshes++
-		}
-		return append(dst, c.ids...)
-	}
 	cx, cy := w.store.cellX[from], w.store.cellY[from]
 	stamp := w.grid.RegionStamp(p, r)
 	if !c.everInit || c.cx != cx || c.cy != cy || c.stamp != stamp {

@@ -105,3 +105,33 @@ func TestSeedArenaOverflowStaysLocal(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleStationaryZeroRecomputes pins the receiver cache behind
+// AppendReceivers on a world where nothing moves: a four-node chain with
+// both triggered-update thresholds at zero, so every live node beacons
+// every round. Each sender computes its receiver set once and then
+// reuses it for the rest of the run.
+func TestStaleStationaryZeroRecomputes(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Mode = ModeNoMobility
+	cfg.BeaconMoveEps, cfg.BeaconEnergyFrac = 0, 0
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(150, 0), geom.Pt(300, 0), geom.Pt(450, 0)}
+	w, err := NewWorld(cfg, pts, []float64{500, 500, 500, 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.AddFlow(FlowSpec{Src: 0, Dst: 3, LengthBits: 5e5}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := w.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Medium.Broadcasts == 0 {
+		t.Fatal("no HELLO broadcasts; the cache was never exercised")
+	}
+	if w.recvRefreshes > uint64(len(pts)) {
+		t.Errorf("stationary world recomputed receiver sets: %d refreshes for %d nodes over %d broadcasts",
+			w.recvRefreshes, len(pts), res.Medium.Broadcasts)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 
 	"repro/internal/core"
@@ -68,16 +67,16 @@ type World struct {
 	flows  []*flowRuntime
 
 	// index tracks every node's current position for O(k) neighbor
-	// queries (Config.NeighborIndex selects grid vs brute-force). It is
-	// updated on every node move and serves HELLO seeding, broadcast
-	// receiver lookup (AppendReceivers), and AODV floods. Dead
+	// queries (the grid, or the brute-force reference in differential
+	// tests). It is updated on every node move and serves HELLO seeding,
+	// broadcast receiver lookup (AppendReceivers), and AODV floods. Dead
 	// nodes stay indexed: the radio still "reaches" them, and receivers
 	// are responsible for ignoring traffic, exactly as in the reference
 	// scan.
 	index spatial.Index
-	// grid is the index downcast to the grid implementation when the
-	// configured kind is grid-backed; nil otherwise. Receiver-set caching
-	// (see AppendReceivers) needs the grid's RegionStamp.
+	// grid is the index downcast to the grid implementation; nil under
+	// the brute-force reference. Receiver-set caching (see
+	// AppendReceivers) needs the grid's RegionStamp.
 	grid *spatial.Grid
 	// store holds the dense struct-of-arrays node state (position,
 	// battery, alive flag, grid cell); see store.go.
@@ -88,16 +87,10 @@ type World struct {
 	tables   []hello.Table
 	cellSize float64
 	// recv caches per-sender broadcast receiver sets; recvRefreshes
-	// counts snapshot recomputations (asserted by the stale-neighbor
-	// regression tests, like spatial.Grid's Rebuckets).
+	// counts snapshot recomputations (asserted by
+	// TestStaleStationaryZeroRecomputes, like spatial.Grid's Rebuckets).
 	recv          []recvCache
 	recvRefreshes uint64
-	// shards is the worker count for parallel runs (1 when Parallel is
-	// off); pre and beaconMark are the precompute scratch tables of the
-	// lookahead window (see parallel.go).
-	shards     int
-	pre        []premove
-	beaconMark []bool
 	// topoGraph caches the t=0 connectivity graph: nodes only move once
 	// Run starts, so one graph serves every Graph and AddFlow call before
 	// it (rebuilding it per flow is quadratic pain at 100k nodes and 1000
@@ -210,26 +203,11 @@ type failure struct {
 // state has drifted re-broadcasts its beacon.
 func (w *World) beaconRound() error {
 	dead := w.store.dead
-	if w.canParallelScan() {
-		// Precompute every live node's drift decision across the shard
-		// workers, then send serially in id order — identical decisions
-		// and identical send order to the serial loop (shouldBeacon is
-		// read-only, and with control traffic uncharged the earlier sends
-		// of a round cannot change a later node's decision).
-		w.scanBeacons()
-		for i, n := range w.nodes {
-			if dead[i] || !w.beaconMark[i] {
-				continue
-			}
-			n.sendBeacon()
+	for i, n := range w.nodes {
+		if dead[i] {
+			continue
 		}
-	} else {
-		for i, n := range w.nodes {
-			if dead[i] {
-				continue
-			}
-			n.maybeBeacon()
-		}
+		n.maybeBeacon()
 	}
 	// Watchdog: when every source has finished (or died) and no flow
 	// event has happened for a while, the run is over even if in-flight
@@ -279,7 +257,7 @@ func NewWorld(cfg Config, positions []geom.Point, energies []float64) (*World, e
 	if err != nil {
 		return nil, err
 	}
-	index, err := spatial.New(cfg.NeighborIndex, cfg.Radio.Range)
+	index, err := spatial.New(cfg.index, cfg.Radio.Range)
 	if err != nil {
 		return nil, err
 	}
@@ -295,19 +273,10 @@ func NewWorld(cfg Config, positions []geom.Point, energies []float64) (*World, e
 	}
 	w.grid, _ = index.(*spatial.Grid)
 	w.cellSize = cfg.Radio.Range
-	w.shards = 1
-	if cfg.Parallel {
-		if w.shards = cfg.Shards; w.shards <= 0 {
-			w.shards = runtime.GOMAXPROCS(0)
-			if w.shards > 8 {
-				w.shards = 8
-			}
-		}
-	}
 	w.emitFn = func(arg any) { w.emit(arg.(*flowRuntime)) }
 	w.markDeadFn = func(arg any) { w.markDead(arg.(*node)) }
 	w.markAliveFn = func(arg any) { w.markAlive(arg.(*node)) }
-	w.motionFn = func(arg any) { w.ambientStep((*node)(arg.(motionArg))) }
+	w.motionFn = func(arg any) { w.ambientStep(arg.(*node)) }
 	if m := motion.New(cfg.Motion); m != nil {
 		m.Init(positions)
 		w.motionModel = m
@@ -381,14 +350,13 @@ func (w *World) seedNeighborTables() {
 }
 
 // Graph returns the unit-disk connectivity graph over a snapshot of the
-// current positions, backed by the world's configured neighbor-index
-// kind. Before Run every call shares one cached graph of the t=0
-// placement.
+// current positions. Before Run every call shares one cached graph of the
+// t=0 placement.
 func (w *World) Graph() (*topo.Graph, error) {
 	if !w.started && w.topoGraph != nil {
 		return w.topoGraph, nil
 	}
-	g, err := topo.NewGraphIndexed(slices.Clone(w.store.pos), w.cfg.Radio.Range, w.cfg.NeighborIndex)
+	g, err := topo.NewGraph(slices.Clone(w.store.pos), w.cfg.Radio.Range)
 	if err == nil && !w.started {
 		w.topoGraph = g
 	}
@@ -572,14 +540,12 @@ func (w *World) RunContext(ctx context.Context) (Result, error) {
 	// firing one interval in (positions at t=0 are the placement). With
 	// the layer disabled no events exist at all. Motion events are armed
 	// before the beaconer on purpose: at a shared instant they then fire
-	// before the HELLO round (beacons advertise the already-moved
-	// positions), and — the point of the ordering — they form the leading
-	// prefix of each lookahead window, which is what the parallel
-	// scheduler precomputes (see prepareWindow).
+	// before the HELLO round, so beacons advertise the already-moved
+	// positions (the golden fingerprints pin this order).
 	if w.motionModel != nil {
 		interval := sim.Time(w.cfg.Motion.StepInterval())
 		for _, n := range w.nodes {
-			if _, err := w.sched.AtArg(interval, w.motionFn, motionArg(n)); err != nil {
+			if _, err := w.sched.AtArg(interval, w.motionFn, n); err != nil {
 				return Result{}, err
 			}
 		}
@@ -634,13 +600,7 @@ func (w *World) RunContext(ctx context.Context) (Result, error) {
 	}
 
 	canceled := false
-	var runErr error
-	if w.cfg.Parallel {
-		runErr = w.sched.RunUntilWindowed(ctx, w.cfg.Horizon, w.lookahead(), w.prepareWindow)
-	} else {
-		runErr = w.sched.RunUntilContext(ctx, w.cfg.Horizon)
-	}
-	if err := runErr; err != nil {
+	if err := w.sched.RunUntilContext(ctx, w.cfg.Horizon); err != nil {
 		switch {
 		case errors.Is(err, sim.ErrStopped):
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -895,15 +855,12 @@ func (w *World) markAlive(n *node) {
 // category as iMobif relay movement.
 func (w *World) ambientStep(n *node) {
 	interval := sim.Time(w.cfg.Motion.StepInterval())
-	_, _ = w.sched.AfterArg(interval, w.motionFn, motionArg(n))
+	_, _ = w.sched.AfterArg(interval, w.motionFn, n)
 	if n.dead() {
 		return
 	}
 	cur := n.pos()
-	next, ok := w.takePremove(n.id, cur)
-	if !ok {
-		next = w.motionModel.Step(n.id, cur, float64(interval))
-	}
+	next := w.motionModel.Step(n.id, cur, float64(interval))
 	d := cur.Dist(next)
 	if d < geom.Epsilon {
 		return
@@ -1035,7 +992,7 @@ func (w *World) planLive(src, dst NodeID) ([]NodeID, error) {
 		toOld = append(toOld, i)
 	}
 	w.livePos, w.liveToOld, w.liveToNew = live, toOld, toNew
-	g, err := topo.NewGraphIndexed(live, w.cfg.Radio.Range, w.cfg.NeighborIndex)
+	g, err := topo.NewGraph(live, w.cfg.Radio.Range)
 	if err != nil {
 		return nil, err
 	}

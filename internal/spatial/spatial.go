@@ -55,7 +55,7 @@ type Index interface {
 	AppendInRange(dst []int, p geom.Point, r float64) []int
 }
 
-// Kind names an Index implementation, for configuration surfaces.
+// Kind names an Index implementation.
 type Kind string
 
 // The available index implementations.
@@ -66,17 +66,6 @@ const (
 	// reference implementation grid answers are tested against.
 	KindBrute Kind = "brute"
 )
-
-// Validate checks that k names a known implementation. The empty Kind is
-// valid and means KindGrid (the default).
-func (k Kind) Validate() error {
-	switch k {
-	case "", KindGrid, KindBrute:
-		return nil
-	default:
-		return fmt.Errorf("spatial: unknown index kind %q", string(k))
-	}
-}
 
 // New returns an empty index of the given kind. cellSize sizes the grid
 // cells — the query radius the index will mostly serve (the radio range)

@@ -32,14 +32,13 @@ func newPair(t *testing.T, cell float64) (Index, Index) {
 	return g, NewBrute()
 }
 
+// TestKindValidate pins the kinds New accepts: the empty kind (a grid),
+// grid and brute; anything else is an error.
 func TestKindValidate(t *testing.T) {
 	for _, k := range []Kind{"", KindGrid, KindBrute} {
-		if err := k.Validate(); err != nil {
-			t.Errorf("Validate(%q) = %v", k, err)
+		if _, err := New(k, 1); err != nil {
+			t.Errorf("New(%q) = %v", k, err)
 		}
-	}
-	if err := Kind("quadtree").Validate(); err == nil {
-		t.Error("Validate accepted an unknown kind")
 	}
 	if _, err := New("quadtree", 1); err == nil {
 		t.Error("New accepted an unknown kind")

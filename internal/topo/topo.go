@@ -112,10 +112,8 @@ func PlaceArc(n int, a, b geom.Point, height float64) []geom.Point {
 // It is rebuilt (cheaply, O(n)) whenever positions change; the
 // simulator's neighbor tables are maintained by the HELLO protocol
 // instead, so Graph is used for initial route construction and analysis.
-// Neighbor queries are served by a spatial index — a uniform grid with
-// radio-range-sized cells by default, so traversals cost O(k) per node
-// visited instead of O(n) — with the brute-force scan available via
-// NewGraphIndexed as the reference implementation.
+// Neighbor queries are served by a uniform grid with radio-range-sized
+// cells, so traversals cost O(k) per node visited instead of O(n).
 type Graph struct {
 	pos    []geom.Point
 	radius float64
@@ -123,20 +121,13 @@ type Graph struct {
 }
 
 // NewGraph returns a unit-disk graph over the given positions with the
-// given communication radius, backed by the default grid index. It
-// returns an error for a non-positive radius.
+// given communication radius, backed by the grid index. It returns an
+// error for a non-positive radius.
 func NewGraph(pos []geom.Point, radius float64) (*Graph, error) {
-	return NewGraphIndexed(pos, radius, spatial.KindGrid)
-}
-
-// NewGraphIndexed is NewGraph with an explicit neighbor-index choice
-// (spatial.KindGrid or spatial.KindBrute). Both produce identical graphs;
-// the brute-force index exists for differential testing and tiny inputs.
-func NewGraphIndexed(pos []geom.Point, radius float64, kind spatial.Kind) (*Graph, error) {
 	if radius <= 0 {
 		return nil, fmt.Errorf("topo: non-positive radius %v", radius)
 	}
-	idx, err := spatial.FromPoints(kind, radius, pos)
+	idx, err := spatial.FromPoints(spatial.KindGrid, radius, pos)
 	if err != nil {
 		return nil, err
 	}
