@@ -74,6 +74,15 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a slow-header client cannot hold a connection open forever.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer wraps h in the daemon's http.Server settings.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // runDaemon serves the API on addr until SIGINT/SIGTERM, then drains.
 func runDaemon(cfg serve.Config, addr string, drainTimeout time.Duration) error {
 	logger := log.New(os.Stderr, "imobif-served: ", log.LstdFlags)
@@ -85,7 +94,8 @@ func runDaemon(cfg serve.Config, addr string, drainTimeout time.Duration) error 
 		},
 	}
 	srv := serve.New(cfg)
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
+	httpSrv.Addr = addr
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -130,7 +140,7 @@ func runSmoke(w io.Writer, cfg serve.Config, path string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	go httpSrv.Serve(ln)
 	base := "http://" + ln.Addr().String()
 	defer func() {

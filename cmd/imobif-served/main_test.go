@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,5 +73,19 @@ func TestRunSmokeBadScenario(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("rejection path took %s", elapsed)
+	}
+}
+
+// TestHTTPServerBoundsHeaderReads pins the slow-header guard: the server
+// the daemon and the smoke path both listen with must bound how long a
+// client may take to send its request headers.
+func TestHTTPServerBoundsHeaderReads(t *testing.T) {
+	h := http.NotFoundHandler()
+	srv := newHTTPServer(h)
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want a positive bound", srv.ReadHeaderTimeout)
+	}
+	if srv.Handler == nil {
+		t.Fatal("newHTTPServer dropped the handler")
 	}
 }

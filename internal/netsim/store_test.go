@@ -1,41 +1,11 @@
 package netsim
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/hello"
 )
-
-// TestCellCoordClamp pins cellCoord on far-out and non-finite inputs:
-// like spatial.Grid it maps NaN to cell 0, and it saturates to int32
-// instead of leaving the float conversion implementation-defined.
-func TestCellCoordClamp(t *testing.T) {
-	cases := []struct {
-		v    float64
-		want int32
-	}{
-		{0, 0},
-		{199.9, 0},
-		{200, 1},
-		{-0.1, -1},
-		{-400, -2},
-		{1e300, math.MaxInt32},
-		{-1e300, math.MinInt32},
-		{math.Inf(1), math.MaxInt32},
-		{math.Inf(-1), math.MinInt32},
-		{math.NaN(), 0},
-	}
-	for _, c := range cases {
-		if got := cellCoord(c.v, 200); got != c.want {
-			t.Errorf("cellCoord(%v, 200) = %d, want %d", c.v, got, c.want)
-		}
-	}
-	if x, y := cellCoords(geom.Pt(math.NaN(), -1e300), 200); x != 0 || y != math.MinInt32 {
-		t.Errorf("cellCoords(NaN, -1e300) = (%d, %d), want (0, %d)", x, y, int32(math.MinInt32))
-	}
-}
 
 // TestSeedArenaOverflowStaysLocal drifts three nodes into the range of a
 // node whose seeded table has two spare slots, so their beacons push the
@@ -103,35 +73,5 @@ func TestSeedArenaOverflowStaysLocal(t *testing.T) {
 				t.Errorf("node %d entry %d = %+v, seeded %+v", id, nb, after[nb], e)
 			}
 		}
-	}
-}
-
-// TestStaleStationaryZeroRecomputes pins the receiver cache behind
-// AppendReceivers on a world where nothing moves: a four-node chain with
-// both triggered-update thresholds at zero, so every live node beacons
-// every round. Each sender computes its receiver set once and then
-// reuses it for the rest of the run.
-func TestStaleStationaryZeroRecomputes(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Mode = ModeNoMobility
-	cfg.BeaconMoveEps, cfg.BeaconEnergyFrac = 0, 0
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(150, 0), geom.Pt(300, 0), geom.Pt(450, 0)}
-	w, err := NewWorld(cfg, pts, []float64{500, 500, 500, 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.AddFlow(FlowSpec{Src: 0, Dst: 3, LengthBits: 5e5}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := w.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Medium.Broadcasts == 0 {
-		t.Fatal("no HELLO broadcasts; the cache was never exercised")
-	}
-	if w.recvRefreshes > uint64(len(pts)) {
-		t.Errorf("stationary world recomputed receiver sets: %d refreshes for %d nodes over %d broadcasts",
-			w.recvRefreshes, len(pts), res.Medium.Broadcasts)
 	}
 }

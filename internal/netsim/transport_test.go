@@ -149,7 +149,7 @@ func TestPendingRecycledMidUnicast(t *testing.T) {
 	}
 	// Between B#2 and the first timeouts, relay 2 holds all four entries
 	// armed, and nothing else is pending anywhere.
-	if _, err := w.sched.At(1.2, func() {
+	if _, err := w.sched.AtArg(1.2, func(any) {
 		for id := range w.retry {
 			want := 0
 			if id == 2 {
@@ -164,7 +164,7 @@ func TestPendingRecycledMidUnicast(t *testing.T) {
 				t.Errorf("t=1.2: relay 2 entry %+v armed=%v owner=%d", pt.key, pt.armed, pt.owner.id)
 			}
 		}
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	res, err := w.Run()

@@ -74,23 +74,13 @@ type World struct {
 	// are responsible for ignoring traffic, exactly as in the reference
 	// scan.
 	index spatial.Index
-	// grid is the index downcast to the grid implementation; nil under
-	// the brute-force reference. Receiver-set caching (see
-	// AppendReceivers) needs the grid's RegionStamp.
-	grid *spatial.Grid
 	// store holds the dense struct-of-arrays node state (position,
-	// battery, alive flag, grid cell); see store.go.
+	// battery, alive flag); see store.go.
 	store nodeStore
 	// tables holds every node's HELLO neighbor table, indexed by node ID
 	// and carved from one arena at seeding, so a beacon delivery reaches
 	// its receiver's table without loading the receiver's *node.
-	tables   []hello.Table
-	cellSize float64
-	// recv caches per-sender broadcast receiver sets; recvRefreshes
-	// counts snapshot recomputations (asserted by
-	// TestStaleStationaryZeroRecomputes, like spatial.Grid's Rebuckets).
-	recv          []recvCache
-	recvRefreshes uint64
+	tables []hello.Table
 	// topoGraph caches the t=0 connectivity graph: nodes only move once
 	// Run starts, so one graph serves every Graph and AddFlow call before
 	// it (rebuilding it per flow is quadratic pain at 100k nodes and 1000
@@ -125,14 +115,15 @@ type World struct {
 	// bit-identical to the pre-motion simulator.
 	motionModel motion.Model
 
-	// emitFn, markDeadFn, markAliveFn, and motionFn are the world's
-	// long-lived scheduler callbacks (sim.Func): recurring events schedule
-	// them with a per-event argument instead of allocating a closure per
-	// event.
+	// emitFn, markDeadFn, markAliveFn, motionFn, and sampleFn are the
+	// world's long-lived scheduler callbacks (sim.Func): recurring events
+	// schedule them with a per-event argument instead of allocating a
+	// closure per event.
 	emitFn      sim.Func
 	markDeadFn  sim.Func
 	markAliveFn sim.Func
 	motionFn    sim.Func
+	sampleFn    sim.Func
 	// syncRadio records that the radio delivers synchronously (zero
 	// bandwidth): messages are fully consumed before a send returns, so
 	// packet and beacon boxes can be pooled instead of allocated per hop.
@@ -271,12 +262,14 @@ func NewWorld(cfg Config, positions []geom.Point, energies []float64) (*World, e
 	if w.medium, err = radio.NewMedium(sched, rcfg, w); err != nil {
 		return nil, err
 	}
-	w.grid, _ = index.(*spatial.Grid)
-	w.cellSize = cfg.Radio.Range
 	w.emitFn = func(arg any) { w.emit(arg.(*flowRuntime)) }
 	w.markDeadFn = func(arg any) { w.markDead(arg.(*node)) }
 	w.markAliveFn = func(arg any) { w.markAlive(arg.(*node)) }
 	w.motionFn = func(arg any) { w.ambientStep(arg.(*node)) }
+	w.sampleFn = func(any) {
+		w.sample()
+		_, _ = w.sched.AfterArg(w.cfg.SampleInterval, w.sampleFn, nil)
+	}
 	if m := motion.New(cfg.Motion); m != nil {
 		m.Init(positions)
 		w.motionModel = m
@@ -286,8 +279,7 @@ func NewWorld(cfg Config, positions []geom.Point, energies []float64) (*World, e
 			return nil, fmt.Errorf("netsim: negative energy %v for node %d", energies[i], i)
 		}
 	}
-	w.store = newNodeStore(positions, energies, w.cellSize)
-	w.recv = make([]recvCache, len(positions))
+	w.store = newNodeStore(positions, energies)
 	w.nodes = make([]*node, 0, len(positions))
 	for i, pos := range positions {
 		w.nodes = append(w.nodes, &node{id: i, world: w, flows: core.NewTable()})
@@ -570,12 +562,7 @@ func (w *World) RunContext(ctx context.Context) (Result, error) {
 	// closes the series.
 	if w.cfg.SampleInterval > 0 {
 		w.series = metrics.NewTimeSeries(w.cfg.SampleInterval)
-		var tick func()
-		tick = func() {
-			w.sample()
-			_, _ = w.sched.After(w.cfg.SampleInterval, tick)
-		}
-		if _, err := w.sched.At(0, tick); err != nil {
+		if _, err := w.sched.AtArg(0, w.sampleFn, nil); err != nil {
 			return Result{}, err
 		}
 	}

@@ -85,6 +85,11 @@ type Scenario struct {
 // an unbounded amount of work.
 const MaxTrials = 100000
 
+// MaxNodes bounds a scenario's node count (random_nodes.count or the
+// length of nodes), so a small document cannot ask for a world too large
+// to build. It is the size of the largest world the repository runs.
+const MaxNodes = 100_000
+
 // OutputSpec selects optional run outputs for service jobs.
 type OutputSpec struct {
 	// Trace captures the run's event trace as JSONL (the pinned schema of
@@ -334,12 +339,15 @@ func (s *Scenario) Validate() error {
 			return fmt.Errorf("scenario: bad random_nodes %+v", *r)
 		}
 	}
-	if len(s.Flows) == 0 {
-		return errors.New("scenario: no flows")
-	}
 	n := len(s.Nodes)
 	if s.RandomNodes != nil {
 		n = s.RandomNodes.Count
+	}
+	if n > MaxNodes {
+		return fmt.Errorf("scenario: %d nodes exceeds limit %d", n, MaxNodes)
+	}
+	if len(s.Flows) == 0 {
+		return errors.New("scenario: no flows")
 	}
 	for i, f := range s.Flows {
 		if f.Src < 0 || f.Src >= n || f.Dst < 0 || f.Dst >= n {

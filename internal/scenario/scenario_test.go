@@ -162,7 +162,11 @@ func TestLoadRejectsBadScenarios(t *testing.T) {
 			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
 		{"bad random spec", `{"random_nodes":{"count":1,"field_w":10,"field_h":10,"energy_lo":1,"energy_hi":2},
 			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
+		{"too many random nodes", `{"random_nodes":{"count":1000000000,"field_w":10,"field_h":10,"energy_lo":1,"energy_hi":2},
+			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
 		{"garbage", `{`},
+		{"too many explicit nodes", `{"nodes":[` + strings.Repeat(`{"x":0,"y":0,"joules":1},`, MaxNodes) +
+			`{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

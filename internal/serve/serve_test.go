@@ -269,6 +269,8 @@ func TestFailurePaths(t *testing.T) {
 		{"no flows", "POST", "/v1/jobs", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[]}`, 400, "no flows"},
 		{"bad trials", "POST", "/v1/jobs", `{"trials":-2,"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1}]}`, 400, "trials"},
 		{"trace with trials", "POST", "/v1/jobs", `{"trials":3,"output":{"trace":true},"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1}]}`, 400, "single trial"},
+		// Refused at validation: a billion-node world is never built.
+		{"too many nodes", "POST", "/v1/jobs", `{"random_nodes":{"count":1000000000,"field_w":500,"field_h":500,"energy_lo":1,"energy_hi":2},"flows":[{"src":0,"dst":1,"length_kb":8}]}`, 400, "exceeds limit"},
 		{"unknown job", "GET", "/v1/jobs/job-999", "", 404, "unknown job"},
 		{"unknown job delete", "DELETE", "/v1/jobs/job-999", "", 404, "unknown job"},
 		{"unknown job trace", "GET", "/v1/jobs/job-999/trace", "", 404, "unknown job"},

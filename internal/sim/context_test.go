@@ -131,7 +131,7 @@ func TestRunUntilContextEdgeCases(t *testing.T) {
 
 func mustAt(t *testing.T, s *Scheduler, at Time, fn func()) Handle {
 	t.Helper()
-	h, err := s.At(at, fn)
+	h, err := s.AtArg(at, func(any) { fn() }, nil)
 	if err != nil {
 		t.Fatalf("At(%v): %v", at, err)
 	}

@@ -49,10 +49,10 @@ func FuzzSchedulerOps(f *testing.F) {
 			idx := len(fireCount)
 			fireCount = append(fireCount, 0)
 			canceled = append(canceled, false)
-			h, err := s.After(delay, func() {
+			h, err := s.AfterArg(delay, func(any) {
 				fireCount[idx]++
 				fired++
-			})
+			}, nil)
 			if err != nil {
 				t.Fatalf("After(%v): %v", delay, err)
 			}
@@ -76,10 +76,10 @@ func FuzzSchedulerOps(f *testing.F) {
 					idx := len(fireCount)
 					fireCount = append(fireCount, 0)
 					canceled = append(canceled, false)
-					h, err := s.At(at, func() {
+					h, err := s.AtArg(at, func(any) {
 						fireCount[idx]++
 						fired++
-					})
+					}, nil)
 					if err != nil {
 						t.Fatalf("At(%v): %v", at, err)
 					}

@@ -149,7 +149,7 @@ func testSchedulerAgainstModel(t *testing.T, seed int64) {
 		} else {
 			fn = func() { got = append(got, id) }
 		}
-		h, err := s.At(at, fn)
+		h, err := s.AtArg(at, func(any) { fn() }, nil)
 		if err != nil {
 			t.Fatalf("At(%v): %v", at, err)
 		}
@@ -167,7 +167,7 @@ func testSchedulerAgainstModel(t *testing.T, seed int64) {
 				schedule(s.Now()+delay, false)
 			} else {
 				id := int(nextSeq)
-				h, err := s.After(delay, func() { got = append(got, id) })
+				h, err := s.AfterArg(delay, func(any) { got = append(got, id) }, nil)
 				if err != nil {
 					t.Fatalf("After(%v): %v", delay, err)
 				}

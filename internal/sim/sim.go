@@ -20,8 +20,7 @@
 //     affect a recycled slot.
 //   - Callbacks are {fn, arg} pairs (see Func, AtArg, AfterArg): recurring
 //     event kinds schedule one long-lived function with a per-event
-//     argument instead of allocating a fresh closure per event. The
-//     closure-based At/After remain and ride the same machinery.
+//     argument instead of allocating a fresh closure per event.
 //   - The priority queue is a 4-ary min-heap of slot indices ordered by
 //     (time, sequence), flatter and more cache-friendly than the binary
 //     container/heap it replaces, with no interface boxing per operation.
@@ -45,7 +44,7 @@ var ErrStopped = errors.New("sim: stopped")
 
 // Func is a scheduled callback taking the argument it was scheduled with.
 // Scheduling a long-lived Func with a per-event arg (AtArg, AfterArg)
-// avoids the per-event closure allocation of At/After.
+// avoids allocating a closure per event.
 type Func func(arg any)
 
 // event is one value-typed slot of the scheduler's event arena.
@@ -125,35 +124,13 @@ func (s *Scheduler) Pending() int { return len(s.heap) }
 // Fired returns the total number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// runClosure adapts the closure-based At/After onto the {fn, arg} slots:
-// the closure itself is the argument (func values are pointer-shaped, so
-// the conversion to any does not allocate).
-func runClosure(arg any) { arg.(func())() }
-
-// At schedules fn to run at absolute time t. Scheduling in the past (or at
-// a non-finite time) is a programming error and returns an error without
-// scheduling.
-func (s *Scheduler) At(t Time, fn func()) (Handle, error) {
-	if fn == nil {
-		return Handle{}, errors.New("sim: nil event function")
-	}
-	return s.AtArg(t, runClosure, fn)
-}
-
-// After schedules fn to run delay seconds from now. Negative delays are an
-// error.
-func (s *Scheduler) After(delay Time, fn func()) (Handle, error) {
-	if fn == nil {
-		return Handle{}, errors.New("sim: nil event function")
-	}
-	return s.AfterArg(delay, runClosure, fn)
-}
-
-// AtArg schedules fn(arg) to run at absolute time t. Unlike At it takes a
-// long-lived callback plus a per-event argument, so recurring event kinds
-// (packet pacing, beacon ticks, retry timers) schedule without allocating
-// a closure. Pointer-shaped args (pointers, funcs, maps, channels) do not
-// allocate when boxed; scalar or struct args may.
+// AtArg schedules fn(arg) to run at absolute time t. Scheduling in the
+// past (or at a non-finite time) is a programming error and returns an
+// error without scheduling. It takes a long-lived callback plus a
+// per-event argument, so recurring event kinds (packet pacing, beacon
+// ticks, retry timers) schedule without allocating a closure.
+// Pointer-shaped args (pointers, funcs, maps, channels) do not allocate
+// when boxed; scalar or struct args may.
 func (s *Scheduler) AtArg(t Time, fn Func, arg any) (Handle, error) {
 	if fn == nil {
 		return Handle{}, errors.New("sim: nil event function")

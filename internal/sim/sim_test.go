@@ -11,7 +11,7 @@ func TestSchedulerRunsInTimeOrder(t *testing.T) {
 	var order []int
 	mustAt := func(at Time, id int) {
 		t.Helper()
-		if _, err := s.At(at, func() { order = append(order, id) }); err != nil {
+		if _, err := s.AtArg(at, func(any) { order = append(order, id) }, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -40,7 +40,7 @@ func TestSchedulerFIFOAtSameTime(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		if _, err := s.At(5, func() { order = append(order, i) }); err != nil {
+		if _, err := s.AtArg(5, func(any) { order = append(order, i) }, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,11 +57,11 @@ func TestSchedulerFIFOAtSameTime(t *testing.T) {
 func TestSchedulerAfter(t *testing.T) {
 	s := NewScheduler()
 	var at Time
-	if _, err := s.After(2, func() {
-		if _, err := s.After(3, func() { at = s.Now() }); err != nil {
+	if _, err := s.AfterArg(2, func(any) {
+		if _, err := s.AfterArg(3, func(any) { at = s.Now() }, nil); err != nil {
 			t.Error(err)
 		}
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(); err != nil {
@@ -74,26 +74,26 @@ func TestSchedulerAfter(t *testing.T) {
 
 func TestSchedulerErrors(t *testing.T) {
 	s := NewScheduler()
-	if _, err := s.At(1, nil); err == nil {
+	if _, err := s.AtArg(1, nil, nil); err == nil {
 		t.Error("nil fn should error")
 	}
-	if _, err := s.After(-1, func() {}); err == nil {
+	if _, err := s.AfterArg(-1, func(any) {}, nil); err == nil {
 		t.Error("negative delay should error")
 	}
-	if _, err := s.At(Time(math.NaN()), func() {}); err == nil {
+	if _, err := s.AtArg(Time(math.NaN()), func(any) {}, nil); err == nil {
 		t.Error("NaN time should error")
 	}
-	if _, err := s.At(Time(math.Inf(1)), func() {}); err == nil {
+	if _, err := s.AtArg(Time(math.Inf(1)), func(any) {}, nil); err == nil {
 		t.Error("infinite time should error")
 	}
 	// Advance the clock, then try to schedule in the past.
-	if _, err := s.At(10, func() {}); err != nil {
+	if _, err := s.AtArg(10, func(any) {}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.At(5, func() {}); err == nil {
+	if _, err := s.AtArg(5, func(any) {}, nil); err == nil {
 		t.Error("scheduling in the past should error")
 	}
 }
@@ -101,7 +101,7 @@ func TestSchedulerErrors(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	h, err := s.At(1, func() { fired = true })
+	h, err := s.AtArg(1, func(any) { fired = true }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestCancelDoesNotDisturbOthers(t *testing.T) {
 	var handles []Handle
 	for i := 0; i < 20; i++ {
 		i := i
-		h, err := s.At(Time(i), func() { order = append(order, i) })
+		h, err := s.AtArg(Time(i), func(any) { order = append(order, i) }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,12 +155,12 @@ func TestStop(t *testing.T) {
 	s := NewScheduler()
 	count := 0
 	for i := 0; i < 10; i++ {
-		if _, err := s.At(Time(i), func() {
+		if _, err := s.AtArg(Time(i), func(any) {
 			count++
 			if count == 3 {
 				s.Stop()
 			}
-		}); err != nil {
+		}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -184,7 +184,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{1, 2, 3, 4, 5} {
 		at := at
-		if _, err := s.At(at, func() { fired = append(fired, at) }); err != nil {
+		if _, err := s.AtArg(at, func(any) { fired = append(fired, at) }, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +214,7 @@ func TestRunUntil(t *testing.T) {
 
 func TestRunUntilPastHorizon(t *testing.T) {
 	s := NewScheduler()
-	if _, err := s.At(10, func() {}); err != nil {
+	if _, err := s.AtArg(10, func(any) {}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.RunUntil(20); err != nil {
@@ -228,7 +228,7 @@ func TestRunUntilPastHorizon(t *testing.T) {
 func TestRunUntilInclusiveOfHorizon(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	if _, err := s.At(3, func() { fired = true }); err != nil {
+	if _, err := s.AtArg(3, func(any) { fired = true }, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.RunUntil(3); err != nil {
@@ -243,16 +243,16 @@ func TestEventSchedulingInsideEvent(t *testing.T) {
 	// A classic DES pattern: a recurring beacon re-arming itself.
 	s := NewScheduler()
 	count := 0
-	var tick func()
-	tick = func() {
+	var tick Func
+	tick = func(any) {
 		count++
 		if count < 5 {
-			if _, err := s.After(1, tick); err != nil {
+			if _, err := s.AfterArg(1, tick, nil); err != nil {
 				t.Error(err)
 			}
 		}
 	}
-	if _, err := s.At(0, tick); err != nil {
+	if _, err := s.AtArg(0, tick, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(); err != nil {
@@ -274,7 +274,7 @@ func TestDeterminism(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			i := i
 			at := Time(i % 7)
-			if _, err := s.At(at, func() { order = append(order, i) }); err != nil {
+			if _, err := s.AtArg(at, func(any) { order = append(order, i) }, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -303,7 +303,7 @@ func TestCancelManyPendingEvents(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		// Many duplicate timestamps to stress same-time ordering.
-		h, err := s.At(Time(i%13), func() { fired = append(fired, i) })
+		h, err := s.AtArg(Time(i%13), func(any) { fired = append(fired, i) }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,18 +363,18 @@ func TestCancelInterleavedWithRun(t *testing.T) {
 	var fired []int
 	for i := 0; i < 100; i++ {
 		i := i
-		h, err := s.At(Time(i), func() { fired = append(fired, i) })
+		h, err := s.AtArg(Time(i), func(any) { fired = append(fired, i) }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		handles = append(handles, h)
 	}
 	// At t=10, cancel all odd events still pending.
-	if _, err := s.At(10.5, func() {
+	if _, err := s.AtArg(10.5, func(any) {
 		for i := 11; i < 100; i += 2 {
 			handles[i].Cancel()
 		}
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(); err != nil {

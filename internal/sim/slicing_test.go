@@ -32,16 +32,16 @@ type scriptWorld struct {
 	depth   []int
 }
 
-func (w *scriptWorld) newEvent(depth int) (int, func()) {
+func (w *scriptWorld) newEvent(depth int) (int, Func) {
 	id := len(w.handles)
 	w.handles = append(w.handles, Handle{})
 	w.depth = append(w.depth, depth)
-	return id, func() { w.fire(id) }
+	return id, func(any) { w.fire(id) }
 }
 
 func (w *scriptWorld) schedule(at Time, depth int) {
 	id, fn := w.newEvent(depth)
-	h, err := w.s.At(at, fn)
+	h, err := w.s.AtArg(at, fn, nil)
 	if err != nil {
 		w.t.Fatalf("At(%v): %v", at, err)
 	}
@@ -57,7 +57,7 @@ func (w *scriptWorld) fire(id int) {
 			// same instant and on the boundaries of the short windows.
 			delay := Time(r.Intn(8)) / 4
 			cid, fn := w.newEvent(w.depth[id] + 1)
-			h, err := w.s.After(delay, fn)
+			h, err := w.s.AfterArg(delay, fn, nil)
 			if err != nil {
 				w.t.Fatalf("After(%v): %v", delay, err)
 			}

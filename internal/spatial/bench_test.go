@@ -59,19 +59,3 @@ func BenchmarkGridAppendInRange(b *testing.B) {
 		b.Fatal("query found no neighbors")
 	}
 }
-
-// BenchmarkGridRegionStamp measures the receiver-cache revalidation
-// check made before every broadcast.
-func BenchmarkGridRegionStamp(b *testing.B) {
-	const n = 100000
-	g, pts := benchGrid(b, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sum uint64
-	for i := 0; i < b.N; i++ {
-		sum += g.RegionStamp(pts[(i*7919)%n], g.CellSize())
-	}
-	if sum == 0 {
-		b.Fatal("zero stamps")
-	}
-}

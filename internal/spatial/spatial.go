@@ -107,13 +107,6 @@ type gridEntry struct {
 	pos geom.Point
 }
 
-// gridBucket is one slot of the dense table: the points of every cell
-// that aliases onto the slot, and the slot's modification epoch.
-type gridBucket struct {
-	entries []gridEntry
-	epoch   uint64
-}
-
 // gridPlace records where an ID currently lives: its cell and its index
 // within that cell's bucket (maintained across swap-deletes).
 type gridPlace struct {
@@ -159,8 +152,10 @@ const (
 // is single-threaded within one world (parallel sweeps give each trial
 // its own world and therefore its own index).
 type Grid struct {
-	cell  float64
-	slots []gridBucket // side×side, row-major in (cy & mask, cx & mask)
+	cell float64
+	// slots holds, per slot of the side×side table (row-major in
+	// (cy & mask, cx & mask)), the points of every cell aliasing onto it.
+	slots [][]gridEntry
 	side  int
 	where []gridPlace
 	n     int
@@ -175,14 +170,6 @@ type Grid struct {
 	// motion at ~1 m/s against radio-range-sized cells) O(1) on the
 	// common path.
 	rebuckets uint64
-	// Every insert, removal, and position update (including in-place
-	// same-cell updates) bumps the touched slot's epoch. Epochs only grow
-	// between resizes, so RegionStamp sums are monotone and a cached range
-	// query can be revalidated by comparing stamps. A resize zeroes the
-	// epochs and raises stampBase above every stamp issued so far (bumps
-	// is the epoch total since the last resize), so a stamp never repeats.
-	stampBase uint64
-	bumps     uint64
 }
 
 var _ Index = (*Grid)(nil)
@@ -202,7 +189,7 @@ func NewGrid(cellSize float64) (*Grid, error) {
 // setSide installs an empty side×side slot table.
 func (g *Grid) setSide(side int) {
 	g.side = side
-	g.slots = make([]gridBucket, side*side)
+	g.slots = make([][]gridEntry, side*side)
 }
 
 // CellSize returns the grid's cell side length.
@@ -240,12 +227,6 @@ func (g *Grid) slotOf(k cellKey) int {
 	return (k.cy&mask)*g.side + k.cx&mask
 }
 
-// bump records a modification of slot s.
-func (g *Grid) bump(s int) {
-	g.slots[s].epoch++
-	g.bumps++
-}
-
 // Insert implements Index. IDs index a slice, so they must be dense
 // non-negative integers (see the package comment).
 func (g *Grid) Insert(id int, p geom.Point) {
@@ -256,13 +237,10 @@ func (g *Grid) Insert(id int, p geom.Point) {
 	if pl := &g.where[id]; pl.live {
 		if pl.key == k {
 			// Same cell: update the bucketed position in place.
-			s := g.slotOf(k)
-			g.bump(s)
-			g.slots[s].entries[pl.idx].pos = p
+			g.slots[g.slotOf(k)][pl.idx].pos = p
 			return
 		}
 		g.rebuckets++
-		g.bump(g.slotOf(pl.key))
 		g.unbucket(*pl)
 	} else {
 		g.n++
@@ -270,11 +248,9 @@ func (g *Grid) Insert(id int, p geom.Point) {
 			g.resize(2 * g.side)
 		}
 	}
-	s := g.slotOf(k)
-	g.bump(s)
-	b := &g.slots[s]
-	g.where[id] = gridPlace{key: k, idx: len(b.entries), live: true}
-	b.entries = append(b.entries, gridEntry{id: id, pos: p})
+	b := &g.slots[g.slotOf(k)]
+	g.where[id] = gridPlace{key: k, idx: len(*b), live: true}
+	*b = append(*b, gridEntry{id: id, pos: p})
 	g.grow(k)
 }
 
@@ -287,7 +263,6 @@ func (g *Grid) Remove(id int) {
 		return
 	}
 	pl := g.where[id]
-	g.bump(g.slotOf(pl.key))
 	g.unbucket(pl)
 	g.where[id].live = false
 	g.n--
@@ -298,15 +273,15 @@ func (g *Grid) Remove(id int) {
 // swapped-in entry's index is patched so where stays consistent.
 func (g *Grid) unbucket(pl gridPlace) {
 	b := &g.slots[g.slotOf(pl.key)]
-	last := len(b.entries) - 1
+	last := len(*b) - 1
 	if pl.idx != last {
-		moved := b.entries[last]
-		b.entries[pl.idx] = moved
+		moved := (*b)[last]
+		(*b)[pl.idx] = moved
 		g.where[moved.id].idx = pl.idx
 	}
-	b.entries = b.entries[:last]
-	if c := cap(b.entries); c > shrinkCap && last < c/4 {
-		b.entries = append([]gridEntry(nil), b.entries...)
+	*b = (*b)[:last]
+	if c := cap(*b); c > shrinkCap && last < c/4 {
+		*b = append([]gridEntry(nil), *b...)
 	}
 }
 
@@ -315,14 +290,12 @@ func (g *Grid) unbucket(pl gridPlace) {
 func (g *Grid) resize(side int) {
 	old := g.slots
 	g.setSide(side)
-	g.stampBase += g.bumps + 1
-	g.bumps = 0
 	for _, b := range old {
-		for _, e := range b.entries {
+		for _, e := range b {
 			pl := &g.where[e.id]
 			nb := &g.slots[g.slotOf(pl.key)]
-			pl.idx = len(nb.entries)
-			nb.entries = append(nb.entries, e)
+			pl.idx = len(*nb)
+			*nb = append(*nb, e)
 		}
 	}
 }
@@ -356,35 +329,28 @@ func (g *Grid) axis(lo, hi int) (first, count int) {
 	return lo & (g.side - 1), hi - lo + 1
 }
 
-// window returns the slot ranges a range query at (p, r) visits: the
-// cells of the query disk's bounding box, clamped to the occupied-cell
-// bounds.
-func (g *Grid) window(p geom.Point, r float64) (x0, nx, y0, ny int) {
-	lo := g.keyOf(geom.Pt(p.X-r, p.Y-r))
-	hi := g.keyOf(geom.Pt(p.X+r, p.Y+r))
-	x0, nx = g.axis(max(lo.cx, g.minC.cx), min(hi.cx, g.maxC.cx))
-	y0, ny = g.axis(max(lo.cy, g.minC.cy), min(hi.cy, g.maxC.cy))
-	return x0, nx, y0, ny
-}
-
 // InRange implements Index.
 func (g *Grid) InRange(p geom.Point, r float64) []int {
 	return g.AppendInRange(nil, p, r)
 }
 
-// AppendInRange implements Index.
+// AppendInRange implements Index. It visits the cells of the query
+// disk's bounding box, clamped to the occupied-cell bounds.
 func (g *Grid) AppendInRange(dst []int, p geom.Point, r float64) []int {
 	if r < 0 || !g.hasBounds {
 		return dst
 	}
 	r2 := r * r
-	x0, nx, y0, ny := g.window(p, r)
+	lo := g.keyOf(geom.Pt(p.X-r, p.Y-r))
+	hi := g.keyOf(geom.Pt(p.X+r, p.Y+r))
+	x0, nx := g.axis(max(lo.cx, g.minC.cx), min(hi.cx, g.maxC.cx))
+	y0, ny := g.axis(max(lo.cy, g.minC.cy), min(hi.cy, g.maxC.cy))
 	mask := g.side - 1
 	start := len(dst)
 	for j := 0; j < ny; j++ {
 		row := ((y0 + j) & mask) * g.side
 		for i := 0; i < nx; i++ {
-			for _, e := range g.slots[row+(x0+i)&mask].entries {
+			for _, e := range g.slots[row+(x0+i)&mask] {
 				if e.pos.Dist2(p) <= r2 {
 					dst = append(dst, e.id)
 				}
@@ -393,33 +359,6 @@ func (g *Grid) AppendInRange(dst []int, p geom.Point, r float64) []int {
 	}
 	sort.Ints(dst[start:])
 	return dst
-}
-
-// RegionStamp returns a monotone fingerprint of the slots a range query
-// at (p, r) would visit: stampBase plus the sum of their modification
-// epochs, clamped to the occupied-cell bounds exactly like AppendInRange.
-// Any insert, removal, or position change (including an in-place
-// same-cell update) of a point inside those cells strictly increases the
-// stamp, and no point within distance r of p can live outside them, so a
-// cached InRange(p, r) result is still exact whenever its stamp is
-// unchanged — provided p's own cell is unchanged too, since the visited
-// rectangle is derived from p. A resize restarts every stamp above all
-// earlier ones. netsim's lazy HELLO receiver snapshots revalidate on this
-// instead of re-running the query every beacon round.
-func (g *Grid) RegionStamp(p geom.Point, r float64) uint64 {
-	if r < 0 || !g.hasBounds {
-		return 0
-	}
-	x0, nx, y0, ny := g.window(p, r)
-	mask := g.side - 1
-	sum := g.stampBase
-	for j := 0; j < ny; j++ {
-		row := ((y0 + j) & mask) * g.side
-		for i := 0; i < nx; i++ {
-			sum += g.slots[row+(x0+i)&mask].epoch
-		}
-	}
-	return sum
 }
 
 // Brute is the exhaustive-scan Index: every query walks every indexed

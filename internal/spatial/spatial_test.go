@@ -2,7 +2,6 @@ package spatial
 
 import (
 	"math"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -103,9 +102,8 @@ type mutationRegime struct {
 // per-packet node movement produces. The regimes push the dense table
 // off its comfortable path: negative coordinates, points far outside the
 // first extent, cells that alias onto one table slot, huge radii, and
-// enough IDs to force table resizes. Throughout, a fixed probe's
-// RegionStamp must never decrease, must strictly grow across a resize,
-// and an unchanged stamp must mean an unchanged answer.
+// enough IDs to force table resizes. After every step a fixed probe
+// query is compared as well.
 func TestPropertyMutationSequence(t *testing.T) {
 	const cell = 100.0
 	uniform := func(lo, hi float64) func(*stats.Source) geom.Point {
@@ -147,7 +145,7 @@ func runMutationRegime(t *testing.T, src *stats.Source, cell float64, rg mutatio
 	b := NewBrute()
 	pos := make(map[int]geom.Point)
 	probe := rg.point(src)
-	lastStamp, lastIDs, side := g.RegionStamp(probe, cell), g.InRange(probe, cell), g.side
+	side := g.side
 	resizes := 0
 	for step := 0; step < rg.steps; step++ {
 		id := src.Intn(rg.ids)
@@ -185,19 +183,11 @@ func runMutationRegime(t *testing.T, src *stats.Source, cell float64, rg mutatio
 		if g.Len() != b.Len() || g.Len() != len(pos) {
 			t.Fatalf("step %d: Len grid %d, brute %d, want %d", step, g.Len(), b.Len(), len(pos))
 		}
-		stamp, ids := g.RegionStamp(probe, cell), queryBoth(t, g, b, probe, cell)
-		switch {
-		case stamp < lastStamp:
-			t.Fatalf("step %d: stamp went backwards: %d -> %d", step, lastStamp, stamp)
-		case g.side != side && stamp <= lastStamp:
-			t.Fatalf("step %d: resize %d -> %d did not advance the stamp (%d)", step, side, g.side, stamp)
-		case stamp == lastStamp && !reflect.DeepEqual(ids, lastIDs):
-			t.Fatalf("step %d: stamp unchanged but result changed: %v -> %v", step, lastIDs, ids)
-		}
+		queryBoth(t, g, b, probe, cell)
 		if g.side != side {
 			resizes++
 		}
-		lastStamp, lastIDs, side = stamp, ids, g.side
+		side = g.side
 	}
 	if rg.name == "resize" && resizes == 0 {
 		t.Fatal("resize regime never resized the table")
@@ -412,104 +402,5 @@ func TestAppendInRangeReusesBuffer(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("AppendInRange allocated %.1f times per query", allocs)
-	}
-}
-
-// TestRegionStampInvalidation pins the RegionStamp caching contract: the
-// stamp is unchanged while nothing inside the queried cells changes, and
-// strictly increases on any insert, removal, or position update there —
-// including in-place same-cell updates, which do not bump Rebuckets but
-// must still invalidate cached query results.
-func TestRegionStampInvalidation(t *testing.T) {
-	g, err := NewGrid(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		g.Insert(i, geom.Pt(float64(i)*30, 50))
-	}
-	q := geom.Pt(100, 50)
-	base := g.RegionStamp(q, 100)
-
-	// Unrelated change far outside the queried cells: stamp unchanged.
-	g.Insert(99, geom.Pt(2000, 2000))
-	if got := g.RegionStamp(q, 100); got != base {
-		t.Fatalf("stamp changed on out-of-region insert: %d -> %d", base, got)
-	}
-	// Re-query twice with no changes: stable.
-	if got := g.RegionStamp(q, 100); got != base {
-		t.Fatalf("stamp not stable: %d -> %d", base, got)
-	}
-
-	// In-place same-cell move inside the region: no rebucket, but the
-	// stamp must advance.
-	rb := g.Rebuckets()
-	g.Move(3, geom.Pt(91, 51))
-	if g.Rebuckets() != rb {
-		// sanity: this move must be the in-place kind
-	} else if got := g.RegionStamp(q, 100); got <= base {
-		t.Fatalf("in-place move did not advance stamp: %d -> %d", base, got)
-	}
-	base = g.RegionStamp(q, 100)
-
-	// Cross-cell move into the region advances it again.
-	g.Move(99, geom.Pt(120, 60))
-	if got := g.RegionStamp(q, 100); got <= base {
-		t.Fatalf("cross-cell move did not advance stamp: %d -> %d", base, got)
-	}
-	base = g.RegionStamp(q, 100)
-
-	// Removal inside the region advances it.
-	g.Remove(3)
-	if got := g.RegionStamp(q, 100); got <= base {
-		t.Fatalf("removal did not advance stamp: %d -> %d", base, got)
-	}
-
-	// Empty grid and negative radius are stamp zero.
-	e, _ := NewGrid(100)
-	if e.RegionStamp(q, 100) != 0 {
-		t.Fatal("empty grid stamp not zero")
-	}
-	if g.RegionStamp(q, -1) != 0 {
-		t.Fatal("negative radius stamp not zero")
-	}
-}
-
-// TestRegionStampAgreesWithQuery is the differential form: over a random
-// mutation sequence, whenever the stamp of a fixed query is unchanged the
-// query result is unchanged too (same ids, same order).
-func TestRegionStampAgreesWithQuery(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	g, err := NewGrid(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := geom.Pt(200, 200)
-	const r = 50
-	lastStamp := g.RegionStamp(q, r)
-	lastIDs := append([]int(nil), g.InRange(q, r)...)
-	for step := 0; step < 4000; step++ {
-		id := rng.Intn(40)
-		switch rng.Intn(10) {
-		case 0:
-			g.Remove(id)
-		default:
-			g.Move(id, geom.Pt(rng.Float64()*400, rng.Float64()*400))
-		}
-		stamp := g.RegionStamp(q, r)
-		ids := g.InRange(q, r)
-		if stamp == lastStamp {
-			if len(ids) != len(lastIDs) {
-				t.Fatalf("step %d: stamp unchanged but result changed: %v -> %v", step, lastIDs, ids)
-			}
-			for i := range ids {
-				if ids[i] != lastIDs[i] {
-					t.Fatalf("step %d: stamp unchanged but result changed: %v -> %v", step, lastIDs, ids)
-				}
-			}
-		} else if stamp < lastStamp {
-			t.Fatalf("step %d: stamp went backwards: %d -> %d", step, lastStamp, stamp)
-		}
-		lastStamp, lastIDs = stamp, append(lastIDs[:0], ids...)
 	}
 }
